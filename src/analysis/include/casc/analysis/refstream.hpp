@@ -12,9 +12,8 @@
 // stream (the ground truth) and reports every violation as a Diagnostic.
 //
 // There is exactly one implementation of this check in the tree.  The
-// simulator reaches it through the casc::cascade::preflight_verify shim
-// (casc/cascade/preflight.hpp); the threaded runtime reaches it through
-// casc::exec, which turns the report into an rt::PreflightGate.
+// simulator's engine calls it directly; the threaded runtime reaches it
+// through casc::exec, which turns the report into an rt::PreflightGate.
 #pragma once
 
 #include <cstdint>

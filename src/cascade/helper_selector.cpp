@@ -27,7 +27,7 @@ HelperChoice HelperChoice::demoted() const noexcept {
   return down;
 }
 
-HelperChoice select_helper(CascadeSimulator& sim, const Workload& workload,
+HelperChoice select_helper(CascadeSimulator& sim, const core::Workload& workload,
                            CascadeOptions opt) {
   const SequentialResult seq = sim.run_sequential(workload, opt.start_state);
   HelperChoice choice;
@@ -54,10 +54,10 @@ HelperChoice select_helper(CascadeSimulator& sim, const Workload& workload,
 
 HelperChoice select_helper(CascadeSimulator& sim, const loopir::LoopNest& nest,
                            CascadeOptions opt) {
-  return select_helper(sim, LoopWorkload(nest), opt);
+  return select_helper(sim, core::LoopWorkload(nest), opt);
 }
 
-HelperChoice select_helper_and_chunk(CascadeSimulator& sim, const Workload& workload,
+HelperChoice select_helper_and_chunk(CascadeSimulator& sim, const core::Workload& workload,
                                      CascadeOptions opt, std::uint64_t min_bytes,
                                      std::uint64_t max_bytes) {
   CASC_CHECK(min_bytes > 0 && min_bytes <= max_bytes, "invalid chunk range");
@@ -73,7 +73,7 @@ HelperChoice select_helper_and_chunk(CascadeSimulator& sim, const Workload& work
 HelperChoice select_helper_and_chunk(CascadeSimulator& sim,
                                      const loopir::LoopNest& nest, CascadeOptions opt,
                                      std::uint64_t min_bytes, std::uint64_t max_bytes) {
-  return select_helper_and_chunk(sim, LoopWorkload(nest), opt, min_bytes, max_bytes);
+  return select_helper_and_chunk(sim, core::LoopWorkload(nest), opt, min_bytes, max_bytes);
 }
 
 }  // namespace casc::cascade

@@ -16,10 +16,10 @@
 #include <optional>
 #include <vector>
 
-#include "casc/cascade/chunking.hpp"
-#include "casc/cascade/options.hpp"
 #include "casc/cascade/buffer_model.hpp"
-#include "casc/cascade/workload.hpp"
+#include "casc/cascade/options.hpp"
+#include "casc/core/chunk.hpp"
+#include "casc/core/workload.hpp"
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/sim/machine.hpp"
 
@@ -36,12 +36,12 @@ class CascadeSimulator {
   /// machine prepared with `start`.
   SequentialResult run_sequential(const loopir::LoopNest& nest,
                                   StartState start = StartState::kDistributed);
-  SequentialResult run_sequential(const Workload& workload,
+  SequentialResult run_sequential(const core::Workload& workload,
                                   StartState start = StartState::kDistributed);
 
   /// Cascaded execution per `opt`, on a fresh machine.
   CascadeResult run_cascaded(const loopir::LoopNest& nest, const CascadeOptions& opt);
-  CascadeResult run_cascaded(const Workload& workload, const CascadeOptions& opt);
+  CascadeResult run_cascaded(const core::Workload& workload, const CascadeOptions& opt);
 
   /// Like run_sequential(), but keeps the current machine's cache contents —
   /// the state left by the previous run — so repeated calls model a workload
@@ -49,12 +49,13 @@ class CascadeSimulator {
   /// ~5000 times; the paper measures call 12).  Statistics are reset per
   /// call.  Requires a prior run.
   SequentialResult continue_sequential(const loopir::LoopNest& nest);
-  SequentialResult continue_sequential(const Workload& workload);
+  SequentialResult continue_sequential(const core::Workload& workload);
 
   /// Cascaded counterpart of continue_sequential().
   CascadeResult continue_cascaded(const loopir::LoopNest& nest,
                                   const CascadeOptions& opt);
-  CascadeResult continue_cascaded(const Workload& workload, const CascadeOptions& opt);
+  CascadeResult continue_cascaded(const core::Workload& workload,
+                                  const CascadeOptions& opt);
 
   /// Convenience: sequential baseline and cascaded run with the same start
   /// state; returns baseline.total_cycles / cascaded.total_cycles.
@@ -74,9 +75,10 @@ class CascadeSimulator {
   /// Overrides the preflight verification default (the CASC_NO_VERIFY
   /// environment variable).  When verification is on, run_cascaded() with the
   /// restructure helper first checks the workload's read-only claims against
-  /// its own reference stream (preflight_verify) and, on any violation,
-  /// demotes the run to the prefetch helper — recording the evidence in
-  /// CascadeResult::preflight_diags instead of computing unsound speedups.
+  /// its own reference stream (analysis::verify_ref_stream) and, on any
+  /// violation, demotes the run to the prefetch helper — recording the
+  /// evidence in CascadeResult::preflight_diags instead of computing unsound
+  /// speedups.
   void set_verify(bool on) { verify_override_ = on; }
 
   /// Effective verification switch for this simulator.
@@ -84,19 +86,20 @@ class CascadeSimulator {
 
  private:
   /// Establishes the requested pre-loop cache state, then zeroes statistics.
-  void apply_start_state(const Workload& workload, StartState start);
+  void apply_start_state(const core::Workload& workload, StartState start);
 
   /// Core loops operating on the already-prepared machine_.
-  SequentialResult sequential_impl(const Workload& workload);
-  CascadeResult cascaded_impl(const Workload& workload, const CascadeOptions& opt);
+  SequentialResult sequential_impl(const core::Workload& workload);
+  CascadeResult cascaded_impl(const core::Workload& workload, const CascadeOptions& opt);
 
   /// Emits the helper-phase references of iteration `it` into `out`.
-  void build_helper_refs(const Workload& workload, HelperKind kind, std::uint64_t it,
-                         SequentialBufferModel* buf, std::vector<sim::MemRef>& out) const;
+  void build_helper_refs(const core::Workload& workload, HelperKind kind,
+                         std::uint64_t it, SequentialBufferModel* buf,
+                         std::vector<sim::MemRef>& out) const;
 
   /// Emits the execution-phase references of iteration `it` (under `kind`,
   /// assuming its operands were staged) and returns the compute cycles.
-  std::uint32_t build_exec_refs(const Workload& workload, HelperKind kind,
+  std::uint32_t build_exec_refs(const core::Workload& workload, HelperKind kind,
                                 std::uint64_t it, SequentialBufferModel* buf,
                                 std::vector<sim::MemRef>& out) const;
 

@@ -46,14 +46,14 @@ struct HelperChoice {
 /// Tries every helper strategy at `opt.chunk_bytes` and returns the best.
 /// With preflight verification on (the default), an unproven restructure
 /// helper is demoted by the engine and never selected.
-HelperChoice select_helper(CascadeSimulator& sim, const Workload& workload,
+HelperChoice select_helper(CascadeSimulator& sim, const core::Workload& workload,
                            CascadeOptions opt);
 HelperChoice select_helper(CascadeSimulator& sim, const loopir::LoopNest& nest,
                            CascadeOptions opt);
 
 /// Tries every helper strategy across a geometric chunk sweep
 /// [min_bytes, max_bytes] and returns the best (strategy, chunk) pair.
-HelperChoice select_helper_and_chunk(CascadeSimulator& sim, const Workload& workload,
+HelperChoice select_helper_and_chunk(CascadeSimulator& sim, const core::Workload& workload,
                                      CascadeOptions opt, std::uint64_t min_bytes,
                                      std::uint64_t max_bytes);
 HelperChoice select_helper_and_chunk(CascadeSimulator& sim,

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "casc/analysis/verifier.hpp"
+#include "casc/common/aligned_alloc.hpp"
 #include "casc/common/check.hpp"
 #include "casc/common/simd.hpp"
 #include "casc/common/stopwatch.hpp"
@@ -245,209 +245,6 @@ ExecResult run_reference(MaterializedLoop& loop) {
 
 namespace {
 
-/// One cascaded run against the arrays' CURRENT contents (see
-/// reference_no_reset): the body of the per-loop run_cascaded entry point,
-/// also the per-stage engine of run_pipeline_independent.
-ExecResult cascaded_no_reset(MaterializedLoop& loop,
-                             rt::CascadeExecutor& executor,
-                             const RtOptions& opt) {
-  const std::uint64_t total = loop.num_iterations();
-  std::uint64_t ipc = opt.iters_per_chunk;
-  if (ipc == 0) ipc = plan_for(loop, opt.chunk_bytes).iters_per_chunk();
-  CASC_CHECK(ipc > 0, "iters_per_chunk must be positive");
-  const std::uint64_t num_chunks = total == 0 ? 0 : (total + ipc - 1) / ipc;
-
-  ExecResult result;
-  result.total_iters = total;
-  result.iters_per_chunk = ipc;
-  result.num_chunks = std::max<std::uint64_t>(1, num_chunks);
-  if (total == 0) {
-    result.digest = MaterializedLoop::kAccSeed;
-    result.rw_checksum = loop.rw_checksum();
-    return result;
-  }
-
-  // The loop-carried accumulator crosses chunk boundaries on the token's
-  // release/acquire edge — the same edge that makes the arrays' own writes
-  // visible to the next execution phase.
-  std::uint64_t acc = MaterializedLoop::kAccSeed;
-
-  auto staged_in = [&](std::uint64_t begin, std::uint64_t end) {
-    return loop.staged_refs_before(end) - loop.staged_refs_before(begin);
-  };
-
-  // Helper and execution phase of chunk c run on the same worker (c mod P),
-  // so the staged flags need no synchronization.
-  std::vector<char> chunk_staged(num_chunks, 0);
-  rt::PreflightGate gate = rt::PreflightGate::proven();
-  rt::PerWorkerBuffers* buffers = nullptr;
-  std::unique_ptr<rt::PerWorkerBuffers> buffers_owned;
-  if (opt.helper == HelperMode::kRestructure) {
-    // Gate before sizing: a certificate can re-enable staging the claim
-    // demotion turned off (restage grows max_staged_per_iter), so the
-    // buffers must be sized after the gate has had its say.
-    std::vector<std::string> certified;
-    gate = gate_for(loop, opt.chunk_bytes, executor.num_threads(), &certified);
-    if (gate.allow_restructure() && !certified.empty()) {
-      loop.restage(certified);
-    }
-    const std::uint64_t capacity =
-        std::max<std::uint64_t>(64, loop.max_staged_per_iter() * ipc * 8);
-    buffers_owned = std::make_unique<rt::PerWorkerBuffers>(
-        executor.num_threads(), capacity, ipc, opt.lookahead);
-    buffers = buffers_owned.get();
-  }
-
-  auto exec = [&](std::uint64_t begin, std::uint64_t end) {
-    const std::uint64_t c = begin / ipc;
-    // The fail-soft context gates the staged path: a reclaimed chunk runs on
-    // a non-owner thread (whose buffers these are not — and the short-circuit
-    // also keeps it from touching the owner's chunk_staged slot), and a
-    // suspect-staging chunk must ignore whatever its faulty helper committed.
-    const rt::ExecContext& ctx = executor.current_exec_context();
-    if (buffers != nullptr && !ctx.reclaimed && !ctx.staging_invalid &&
-        chunk_staged[c] != 0) {
-      auto cursor = buffers->for_chunk_index(c).read_cursor<std::uint64_t>(
-          staged_in(begin, end));
-      acc = interpret_span(loop, begin, end, acc, cursor.data());
-    } else {
-      acc = interpret_span(loop, begin, end, acc, nullptr);
-    }
-  };
-
-  auto prefetch_helper = [&](std::uint64_t begin, std::uint64_t end,
-                             const rt::TokenWatch& watch) -> bool {
-    for (std::uint64_t it = begin; it < end; ++it) {
-      if ((it & 0x3f) == 0 && watch.signalled()) return false;
-      for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
-           ++ref) {
-        rt::force_load(loop.addr(*ref));
-      }
-    }
-    return true;
-  };
-
-  auto restructure_helper = [&](std::uint64_t begin, std::uint64_t end,
-                                const rt::TokenWatch& watch) -> bool {
-    const std::uint64_t c = begin / ipc;
-    rt::SequentialBuffer& buf = buffers->for_chunk_index(c);
-    buf.reset();
-    // Walk the SoA staged stream for this chunk instead of the interleaved
-    // ResolvedRef records: runs of same-array full-word references become one
-    // SIMD gather call each, with the byte offsets as the index vector.
-    const std::uint64_t p1 = loop.staged_refs_before(end);
-    std::uint64_t p = loop.staged_refs_before(begin);
-    auto cursor = buf.write_cursor<std::uint64_t>(p1 - p);
-    const std::uint64_t* offs = loop.staged_offsets();
-    const std::uint32_t* arrs = loop.staged_arrays();
-    const std::uint8_t* sizes = loop.staged_sizes();
-    constexpr std::uint64_t kPoll = 1024;  // staged refs between token polls
-    while (p < p1) {
-      // Abandoning the uncommitted cursor discards the partial staging; the
-      // execution phase falls back to gathering from the arrays.
-      if (watch.signalled()) return false;
-      const std::uint64_t block_end = std::min(p1, p + kPoll);
-      while (p < block_end) {
-        const std::uint32_t a = arrs[p];
-        if (sizes[p] == 8) {
-          std::uint64_t q = p + 1;
-          while (q < block_end && arrs[q] == a && sizes[q] == 8) ++q;
-          common::simd::gather_offsets_u64(loop.array_data(a), offs + p, q - p,
-                                           cursor.reserve_span(q - p));
-          cursor.advance(q - p);
-          p = q;
-        } else {
-          // Narrow element: zero-extended little-endian load, exactly
-          // MaterializedLoop::load()'s semantics.
-          std::uint64_t v = 0;
-          std::memcpy(&v, loop.array_data(a) + offs[p],
-                      std::min<std::size_t>(sizes[p], 8));
-          cursor.push(v);
-          ++p;
-        }
-      }
-    }
-    cursor.commit();
-    chunk_staged[c] = 1;
-    return true;
-  };
-
-  if (opt.soft_budget_factor > 0.0 && opt.estimated_seq_seconds > 0.0) {
-    const auto demote_ms = std::chrono::milliseconds(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(opt.soft_budget_factor *
-                                     opt.estimated_seq_seconds * 1e3)));
-    executor.set_soft_budget(demote_ms, 2 * demote_ms);
-  }
-
-  // Chaos arming: wrap the run's helper in the planned fault schedule.  The
-  // owning HelperFn locals keep the armed wrappers alive across run().
-  const bool chaos_on = opt.chaos != nullptr && !opt.chaos->empty();
-  rt::HelperFn armed;
-
-  common::Stopwatch watch;
-  switch (opt.helper) {
-    case HelperMode::kNone:
-      if (chaos_on) {
-        // No helper to fault: install a no-op one so the planned faults
-        // still exercise the quarantine/backoff machinery.
-        armed = opt.chaos->arm(nullptr);
-        executor.run(total, ipc, exec, armed);
-      } else {
-        executor.run(total, ipc, exec);
-      }
-      break;
-    case HelperMode::kPrefetch:
-      if (chaos_on) {
-        armed = opt.chaos->arm(prefetch_helper);
-        executor.run(total, ipc, exec, armed);
-      } else {
-        executor.run(total, ipc, exec, prefetch_helper);
-      }
-      break;
-    case HelperMode::kRestructure: {
-      if (chaos_on) {
-        armed = opt.chaos->arm(restructure_helper);
-        executor.run(total, ipc, exec, armed, gate);
-      } else {
-        executor.run(total, ipc, exec, restructure_helper, gate);
-      }
-      break;
-    }
-  }
-  result.seconds = watch.elapsed_seconds();
-
-  const rt::RunStats& stats = executor.last_run_stats();
-  result.transfers = stats.transfers;
-  result.helpers_completed = stats.helpers_completed;
-  result.helpers_jumped_out = stats.helpers_jumped_out;
-  result.preflight_refused = stats.preflight_refused;
-  result.preflight_diag = stats.preflight_diag;
-  result.helper_faults = stats.helper_faults;
-  result.chunks_reclaimed = stats.chunks_reclaimed;
-  result.helper_retries = stats.helper_retries;
-  result.stagings_invalidated = stats.stagings_invalidated;
-  result.workers_quarantined = stats.workers_quarantined;
-  result.demotion_level = stats.demotion_level;
-  result.degraded = stats.degraded();
-  result.staged_chunks = static_cast<std::uint64_t>(
-      std::count(chunk_staged.begin(), chunk_staged.end(), char{1}));
-  result.digest = acc;
-  result.rw_checksum = loop.rw_checksum();
-  return result;
-}
-
-}  // namespace
-
-ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
-                        const RtOptions& opt) {
-  loop.reset();
-  return cascaded_no_reset(loop, executor, opt);
-}
-
-// ---- pipelines -------------------------------------------------------------
-
-namespace {
-
 /// Staging state of one arena region, carried from the stage that gathered
 /// it to the stages the plan lets replay it.  The executor's run() return is
 /// the happens-before edge: by the time a later stage consults these, every
@@ -462,15 +259,17 @@ struct RegionState {
   bool trustworthy = false;
 };
 
-/// Runs one pipeline stage on `executor` against the chain's CURRENT array
-/// state, staging through the stage's arena `region` (flat layout: staged
-/// reference p of the loop lives at region + 8p, so chunk geometry never
-/// shifts the bytes).  With `reuse` the stage gathers nothing and executes
-/// against the staged stream `rs` describes; otherwise it stages into the
-/// region itself and rewrites `rs` for its successors.
-ExecResult run_stage_arena(MaterializedLoop& loop,
-                           rt::CascadeExecutor& executor, const RtOptions& opt,
-                           std::byte* region, RegionState& rs, bool reuse) {
+/// Runs one stage of a cascade on `executor` against the arrays' CURRENT
+/// contents (resets are sequenced by the entry points), staging through
+/// `region` (flat layout: staged reference p of the loop lives at
+/// region + 8p, so chunk geometry never shifts the bytes).  `gate` is the
+/// caller's restructure verdict for this stage.  With `reuse` the stage
+/// gathers nothing and executes against the staged stream `rs` describes;
+/// otherwise it stages into the region itself and rewrites `rs` for its
+/// successors.  A single loop is a one-stage chain with a region of its own.
+ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
+                     const RtOptions& opt, const rt::PreflightGate& gate,
+                     std::byte* region, RegionState& rs, bool reuse) {
   const std::uint64_t total = loop.num_iterations();
   std::uint64_t ipc = opt.iters_per_chunk;
   if (ipc == 0 && reuse) ipc = rs.ipc;  // align chunks with the gather's flags
@@ -490,39 +289,41 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
 
   if (reuse && (rs.ipc != ipc || rs.chunk_staged.size() != num_chunks)) {
     // Geometry drifted from the gather stage; the commit flags no longer
-    // map chunk-for-chunk, so fall back to gathering afresh.  Unreachable
-    // under the pipeline runner (full_reuse implies the same trip/step and
-    // a reuse stage adopts the gather's ipc), but cheap to keep honest.
+    // map chunk-for-chunk, and the caller only gated a stage that gathers,
+    // so run straight from the arrays.  Unreachable under the pipeline
+    // runner (full_reuse implies the same trip/step and a reuse stage
+    // adopts the gather's ipc), but cheap to keep honest.
     reuse = false;
+    region = nullptr;
   }
   const bool staging = opt.helper == HelperMode::kRestructure &&
                        region != nullptr && !reuse;
 
+  // The loop-carried accumulator crosses chunk boundaries on the token's
+  // release/acquire edge — the same edge that makes the arrays' own writes
+  // visible to the next execution phase.
   std::uint64_t acc = MaterializedLoop::kAccSeed;
+  // Helper and execution phase of chunk c run on the same worker (c mod P),
+  // so the commit flags need no synchronization.
   std::vector<char> chunk_staged(num_chunks, 0);
   std::uint64_t* const staged_base = reinterpret_cast<std::uint64_t*>(region);
 
-  rt::PreflightGate gate = rt::PreflightGate::proven();
-  if (staging) {
-    // Stage specs carry derived (hence honest) read-only claims, so the
-    // strict verifier is the whole story here: no demotions exist for the
-    // certificate to overturn, and the staged stream always matches the
-    // plan's signature — which is what sized the region.
-    gate = gate_for(loop, opt.chunk_bytes);
-  }
-
   auto exec = [&](std::uint64_t begin, std::uint64_t end) {
     const std::uint64_t c = begin / ipc;
+    // The fail-soft context gates the staged path: a reclaimed chunk runs on
+    // a non-owner thread (the short-circuit keeps it off the owner's commit
+    // flag), and a suspect-staging chunk must ignore whatever its faulty
+    // helper wrote.  The unstaged call passes a literal null so
+    // interpret_span's kernel dispatch folds away on the direct-load
+    // (prefetch, none-mode) path.
     const rt::ExecContext& ctx = executor.current_exec_context();
-    const std::uint64_t* staged = nullptr;
-    if (!ctx.reclaimed && !ctx.staging_invalid) {
-      if (reuse && rs.chunk_staged[c] != 0) {
-        staged = staged_base + loop.staged_refs_before(begin);
-      } else if (staging && chunk_staged[c] != 0) {
-        staged = staged_base + loop.staged_refs_before(begin);
-      }
+    if (!ctx.reclaimed && !ctx.staging_invalid &&
+        (reuse ? rs.chunk_staged[c] : chunk_staged[c]) != 0) {
+      acc = interpret_span(loop, begin, end, acc,
+                           staged_base + loop.staged_refs_before(begin));
+    } else {
+      acc = interpret_span(loop, begin, end, acc, nullptr);
     }
-    acc = interpret_span(loop, begin, end, acc, staged);
   };
 
   auto prefetch_helper = [&](std::uint64_t begin, std::uint64_t end,
@@ -537,9 +338,12 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
     return true;
   };
 
-  auto arena_helper = [&](std::uint64_t begin, std::uint64_t end,
-                          const rt::TokenWatch& watch) -> bool {
+  auto gather_helper = [&](std::uint64_t begin, std::uint64_t end,
+                           const rt::TokenWatch& watch) -> bool {
     const std::uint64_t c = begin / ipc;
+    // Walk the SoA staged stream for this chunk instead of the interleaved
+    // ResolvedRef records: runs of same-array full-word references become one
+    // SIMD gather call each, with the byte offsets as the index vector.
     const std::uint64_t p1 = loop.staged_refs_before(end);
     std::uint64_t p = loop.staged_refs_before(begin);
     const std::uint64_t* offs = loop.staged_offsets();
@@ -560,6 +364,8 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
                                            staged_base + p);
           p = q;
         } else {
+          // Narrow element: zero-extended little-endian load, exactly
+          // MaterializedLoop::load()'s semantics.
           std::uint64_t v = 0;
           std::memcpy(&v, loop.array_data(a) + offs[p],
                       std::min<std::size_t>(sizes[p], 8));
@@ -572,6 +378,24 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
     return true;
   };
 
+  // No helper phase for a reuse stage (nothing to gather) or a none-mode
+  // (or stage-nothing) run: it executes straight from the arrays.
+  rt::HelperRef helper;
+  if (staging) {
+    helper = gather_helper;
+  } else if (opt.helper == HelperMode::kPrefetch && !reuse) {
+    helper = prefetch_helper;
+  }
+
+  // Chaos arming wraps the run's helper in the planned fault schedule; with
+  // no helper a no-op one is installed so the planned faults still exercise
+  // the quarantine/backoff machinery.  `armed` owns the wrapper across run().
+  rt::HelperFn armed;
+  if (opt.chaos != nullptr && !opt.chaos->empty()) {
+    armed = opt.chaos->arm(helper ? rt::HelperFn(helper) : rt::HelperFn());
+    helper = armed;
+  }
+
   if (opt.soft_budget_factor > 0.0 && opt.estimated_seq_seconds > 0.0) {
     const auto demote_ms = std::chrono::milliseconds(std::max<std::int64_t>(
         1, static_cast<std::int64_t>(opt.soft_budget_factor *
@@ -579,34 +403,8 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
     executor.set_soft_budget(demote_ms, 2 * demote_ms);
   }
 
-  const bool chaos_on = opt.chaos != nullptr && !opt.chaos->empty();
-  rt::HelperFn armed;
-
   common::Stopwatch watch;
-  if (staging) {
-    if (chaos_on) {
-      armed = opt.chaos->arm(arena_helper);
-      executor.run(total, ipc, exec, armed, gate);
-    } else {
-      executor.run(total, ipc, exec, arena_helper, gate);
-    }
-  } else if (opt.helper == HelperMode::kPrefetch && !reuse) {
-    if (chaos_on) {
-      armed = opt.chaos->arm(prefetch_helper);
-      executor.run(total, ipc, exec, armed);
-    } else {
-      executor.run(total, ipc, exec, prefetch_helper);
-    }
-  } else {
-    // No helper phase: a reuse stage has nothing to gather, and a none-mode
-    // (or stage-nothing) run executes straight from the arrays.
-    if (chaos_on) {
-      armed = opt.chaos->arm(nullptr);
-      executor.run(total, ipc, exec, armed);
-    } else {
-      executor.run(total, ipc, exec);
-    }
-  }
+  executor.run(total, ipc, exec, helper, gate);
   result.seconds = watch.elapsed_seconds();
 
   const rt::RunStats& stats = executor.last_run_stats();
@@ -622,9 +420,9 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
   result.workers_quarantined = stats.workers_quarantined;
   result.demotion_level = stats.demotion_level;
   result.degraded = stats.degraded();
-  result.staged_chunks = static_cast<std::uint64_t>(std::count(
-      reuse ? rs.chunk_staged.begin() : chunk_staged.begin(),
-      reuse ? rs.chunk_staged.end() : chunk_staged.end(), char{1}));
+  const std::vector<char>& flags = reuse ? rs.chunk_staged : chunk_staged;
+  result.staged_chunks = static_cast<std::uint64_t>(
+      std::count(flags.begin(), flags.end(), char{1}));
   result.digest = acc;
   result.rw_checksum = loop.rw_checksum();
 
@@ -638,11 +436,38 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
   return result;
 }
 
+/// One loop as a one-stage chain (arrays NOT reset): the body of run_cascaded
+/// and the per-stage engine of run_pipeline_independent.  The gate runs
+/// before sizing the region: a certificate can re-enable staging the claim
+/// demotion turned off (restage grows the staged stream).
+ExecResult run_single(MaterializedLoop& loop, rt::CascadeExecutor& executor,
+                      const RtOptions& opt) {
+  rt::PreflightGate gate = rt::PreflightGate::proven();
+  common::AlignedStorage region;
+  if (opt.helper == HelperMode::kRestructure) {
+    std::vector<std::string> certified;
+    gate = gate_for(loop, opt.chunk_bytes, executor.num_threads(), &certified);
+    if (gate.allow_restructure() && !certified.empty()) loop.restage(certified);
+    region = common::AlignedStorage(
+        8 * std::max<std::uint64_t>(1, loop.staged_refs_total()));
+  }
+  RegionState rs;
+  return run_stage(loop, executor, opt, gate, region.data(), rs, false);
+}
+
 std::uint64_t fold_chain(std::uint64_t chain, std::uint64_t digest) {
   return MaterializedLoop::mix(chain, digest);
 }
 
 }  // namespace
+
+ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
+                        const RtOptions& opt) {
+  loop.reset();
+  return run_single(loop, executor, opt);
+}
+
+// ---- pipelines -------------------------------------------------------------
 
 PipelineResult run_pipeline_reference(MaterializedPipeline& pipe) {
   pipe.reset();
@@ -675,10 +500,19 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     if (sp.region_of == k) rs = RegionState{};  // entering a fresh region
     const bool reuse = opt.helper == HelperMode::kRestructure &&
                        pipe.reuses_previous(k) && rs.trustworthy;
+    // Stage specs carry derived (hence honest) read-only claims, so the
+    // strict verifier is the whole story here: no demotions exist for the
+    // certificate to overturn, and the staged stream always matches the
+    // plan's signature — which is what sized the region.
+    rt::PreflightGate gate = rt::PreflightGate::proven();
+    if (opt.helper == HelperMode::kRestructure && !reuse &&
+        pipe.region(k) != nullptr) {
+      gate = gate_for(pipe.stage(k), opt.chunk_bytes);
+    }
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
-    stage.result =
-        run_stage_arena(pipe.stage(k), executor, opt, pipe.region(k), rs, reuse);
+    stage.result = run_stage(pipe.stage(k), executor, opt, gate, pipe.region(k),
+                             rs, reuse);
     stage.reused_staging = reuse;
     if (reuse) ++out.stages_reused;
     chain = fold_chain(chain, stage.result.digest);
@@ -705,7 +539,7 @@ PipelineResult run_pipeline_independent(MaterializedPipeline& pipe,
     rt::CascadeExecutor executor(cfg);
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
-    stage.result = cascaded_no_reset(pipe.stage(k), executor, opt);
+    stage.result = run_single(pipe.stage(k), executor, opt);
     chain = fold_chain(chain, stage.result.digest);
     out.stages.push_back(std::move(stage));
   }

@@ -13,11 +13,14 @@
 // Helper phases on real hardware:
 //   * prefetch:    force_load every operand line of the coming chunk,
 //                  polling the token watch to jump out;
-//   * restructure: stage every proven-read-only operand VALUE of the coming
-//                  chunk into the worker's rt::SequentialBuffer (uncommitted
-//                  write cursor, so a jump-out leaves the buffer untouched);
-//                  the execution phase then drains values strictly
-//                  sequentially instead of gathering them.
+//   * restructure: gather every proven-read-only operand VALUE of the coming
+//                  chunk into a flat staging region (staged reference p at
+//                  byte 8p; a single loop owns one per run, a pipeline stage
+//                  uses its plan-placed arena region).  The chunk's commit
+//                  flag is set only once the gather completes, so a
+//                  jump-out leaves the chunk unstaged; the execution phase
+//                  then drains values strictly sequentially instead of
+//                  gathering them.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,6 @@ struct RtOptions {
   std::uint64_t chunk_bytes = 64 * 1024;
   /// Explicit override; 0 derives from chunk_bytes like the simulator does.
   std::uint64_t iters_per_chunk = 0;
-  /// Sequential-buffer ring depth per worker (restructure only).
-  unsigned lookahead = 2;
   /// Seeded helper-fault schedule (non-owning; must outlive the run).  The
   /// planned faults are armed onto the run's helper phases — with
   /// HelperMode::kNone a no-op helper is installed so the faults still fire.

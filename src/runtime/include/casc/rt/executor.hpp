@@ -81,10 +81,6 @@ using HelperFn =
 using ExecRef = FunctionRef<void(std::uint64_t, std::uint64_t)>;
 using HelperRef = FunctionRef<bool(std::uint64_t, std::uint64_t, const TokenWatch&)>;
 
-/// Online chunk-size adaptation now lives in the shared core; this alias
-/// keeps run_auto()'s historical signature spelling working.
-using AdaptiveChunker = core::AdaptiveChunker;
-
 /// How workers wait for the token (see token.hpp for the tier mechanics).
 enum class WaitMode : std::uint8_t {
   /// Park when num_threads exceeds hardware_concurrency, pure spin/yield
@@ -246,9 +242,9 @@ class CascadeExecutor {
   /// Gated variant for restructuring helpers: `helper` stages operand values
   /// early, which is only sequentially correct when every staged operand is
   /// read-only over the whole loop.  The gate carries that proof (or a
-  /// refusal) from casc::analysis / casc::cascade::preflight_verify.  On a
-  /// refusal the helper is dropped — the cascade still runs, execution-phase
-  /// results are identical, and the refusal is recorded in last_run_stats()
+  /// refusal) from casc::analysis.  On a refusal the helper is dropped — the
+  /// cascade still runs, execution-phase results are identical, and the
+  /// refusal is recorded in last_run_stats()
   /// (preflight_refused / preflight_diag).  CASC_NO_VERIFY=1 overrides a
   /// refusal at the caller's risk.
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
@@ -259,7 +255,7 @@ class CascadeExecutor {
   /// the chunk size, times the run, and feeds the measurement back so the
   /// chunk size hill-climbs across calls.  The chunker is caller-owned state;
   /// one chunker per (loop, executor) pair.
-  void run_auto(std::uint64_t total_iters, AdaptiveChunker& chunker, ExecRef exec,
+  void run_auto(std::uint64_t total_iters, core::AdaptiveChunker& chunker, ExecRef exec,
                 HelperRef helper = nullptr);
 
   /// Number of workers (including the calling thread).

@@ -132,7 +132,7 @@ TEST(Integration, SimulatedAndRealRuntimeAgreeOnChunkStructure) {
   // The simulator's chunk plan and the real executor must partition work
   // identically for the same parameters.
   const std::uint64_t n = 3333, chunk_iters = 128;
-  const auto plan = casc::cascade::ChunkPlan::for_iters(n, chunk_iters);
+  const auto plan = casc::core::ChunkPlan::for_iters(n, chunk_iters);
   casc::rt::CascadeExecutor ex(casc::rt::ExecutorConfig{2, false});
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
   ex.run(n, chunk_iters,

@@ -5,6 +5,8 @@
 // on every spec, every helper mode, every worker count, and every chunk
 // geometry.  Reuse is proof-gated: the committed index-clobber spec pins the
 // fallback-to-restaging path.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <set>
@@ -19,6 +21,7 @@
 #include "casc/exec/pipeline.hpp"
 #include "casc/loopir/pipeline_spec.hpp"
 #include "casc/rt/executor.hpp"
+#include "casc/rt/fault_injection.hpp"
 #include "casc/wave5/parmvr.hpp"
 
 namespace {
@@ -344,6 +347,63 @@ TEST(PipelineExec, RepeatedRunsAreDeterministic) {
   const exec::PipelineResult b = exec::run_pipeline_cascaded(pipe, executor);
   EXPECT_EQ(a.chain_digest, b.chain_digest);
   EXPECT_EQ(a.rw_checksum, b.rw_checksum);
+}
+
+// ---- fail-soft: chaos on the pipelined path --------------------------------
+
+TEST(PipelineExecChaos, ChaosMatchesReferenceAndDegradedGathersAreNotReplayed) {
+  // Seeded helper kills, stalls and corrupt-staging commits on every stage of
+  // the pipelined cascade: the chain must still produce the reference bits,
+  // and a gather stage that ends up degraded must not hand its staging to its
+  // successor — replay is health-gated on top of the plan's proof.
+  constexpr std::uint64_t kIpc = 64;  // many chunks per stage, one geometry
+  // Degraded gathers whose proven successor re-gathered instead of replaying.
+  std::uint64_t gated = 0;
+  for (const loopir::PipelineSpec& spec :
+       {load_pipeline("pipeline_reuse.casc"),
+        wave5::make_parmvr_pipeline(/*scale=*/64)}) {
+    exec::MaterializedPipeline pipe(spec);
+    const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+    std::uint64_t chunks = 1;
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      const std::uint64_t n = pipe.stage(k).num_iterations();
+      chunks = std::max(chunks, (n + kIpc - 1) / kIpc);
+    }
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = threads;
+      // Retry instantly so repeat faults reach quarantine and reclamation.
+      cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+      rt::CascadeExecutor executor(cfg);
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        rt::ChaosOptions chaos_opt;
+        chaos_opt.fault_rate = 0.5;
+        chaos_opt.max_stall = std::chrono::milliseconds(1);
+        const rt::ChaosPlan plan =
+            rt::ChaosPlan::make(seed, chunks, kIpc, chaos_opt);
+        exec::RtOptions opt;
+        opt.iters_per_chunk = kIpc;
+        opt.chaos = &plan;
+        const exec::PipelineResult got =
+            exec::run_pipeline_cascaded(pipe, executor, opt);
+        const std::string where = spec.name + " threads=" +
+                                  std::to_string(threads) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(got.chain_digest, ref.chain_digest) << where;
+        EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << where;
+        for (std::size_t k = 1; k < got.stages.size(); ++k) {
+          const exec::PipelineStageResult& gather = got.stages[k - 1];
+          if (!pipe.reuses_previous(k) || gather.reused_staging ||
+              !gather.result.degraded) {
+            continue;
+          }
+          EXPECT_FALSE(got.stages[k].reused_staging) << where << " stage " << k;
+          ++gated;
+        }
+      }
+    }
+  }
+  EXPECT_GT(gated, 0u) << "no degraded gather met a proven successor";
 }
 
 }  // namespace
