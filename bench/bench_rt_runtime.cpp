@@ -19,7 +19,6 @@ namespace {
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
 using casc::rt::RestructuredLoop;
-using casc::rt::RestructuredOptions;
 using casc::rt::TokenWatch;
 
 constexpr std::uint64_t kN = 1 << 20;           // 8 MB of doubles per array
@@ -55,7 +54,7 @@ BENCHMARK(BM_SequentialGather);
 
 void BM_CascadedGatherPrefetch(benchmark::State& state) {
   Workload& w = workload();
-  CascadeExecutor ex(ExecutorConfig{static_cast<unsigned>(state.range(0)), false});
+  CascadeExecutor ex(ExecutorConfig{static_cast<unsigned>(state.range(0))});
   for (auto _ : state) {
     ex.run(
         kN, kChunkIters,
@@ -83,7 +82,7 @@ BENCHMARK(BM_CascadedGatherPrefetch)->Arg(2)->Arg(4);
 void BM_CascadedGatherNoHelper(benchmark::State& state) {
   Workload& w = workload();
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   for (auto _ : state) {
     ex.run(kN, kChunkIters, [&](std::uint64_t b, std::uint64_t e) {
       for (std::uint64_t i = b; i < e; ++i) w.x[i] = w.a[w.ij[i]] + 1.0;
@@ -100,7 +99,7 @@ BENCHMARK(BM_CascadedGatherNoHelper)->Arg(2)->Arg(4);
 void BM_CascadedGatherRestructure(benchmark::State& state) {
   Workload& w = workload();
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   RestructuredLoop<double> loop(ex, kChunkIters);
   for (auto _ : state) {
     loop.run(
@@ -122,7 +121,7 @@ BENCHMARK(BM_CascadedGatherRestructure)->Arg(2)->Arg(4);
 void BM_CascadedGatherRestructureSimd(benchmark::State& state) {
   Workload& w = workload();
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   RestructuredLoop<double> loop(ex, kChunkIters);
   const auto gather = casc::rt::indexed_gather(w.a.data(), kN, w.ij.data());
   for (auto _ : state) {
@@ -138,51 +137,6 @@ void BM_CascadedGatherRestructureSimd(benchmark::State& state) {
       static_cast<int>(casc::common::simd::active_tier()));
 }
 BENCHMARK(BM_CascadedGatherRestructureSimd)->Arg(2)->Arg(4);
-
-// Look-ahead ablation at a fixed 4 threads: L buffers per worker let an idle
-// helper stage its next L chunks instead of waiting out the token.
-void BM_CascadedGatherLookahead(benchmark::State& state) {
-  Workload& w = workload();
-  CascadeExecutor ex(ExecutorConfig{4, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = kChunkIters;
-  options.lookahead = static_cast<unsigned>(state.range(0));
-  RestructuredLoop<double> loop(ex, options);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_ahead"] =
-      static_cast<double>(loop.last_run_stats().chunks_staged_ahead);
-}
-BENCHMARK(BM_CascadedGatherLookahead)->Arg(1)->Arg(2)->Arg(4);
-
-// Adaptive chunk size: the chunker hill-climbs across benchmark iterations
-// (the repeated-call pattern run_auto/auto_chunk exist for).
-void BM_CascadedGatherAutoChunk(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = kChunkIters;
-  options.auto_chunk = true;
-  options.min_chunk_iters = 1024;
-  options.max_chunk_iters = 64 * 1024;
-  RestructuredLoop<double> loop(ex, options);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["final_iters_per_chunk"] =
-      static_cast<double>(loop.current_iters_per_chunk());
-}
-BENCHMARK(BM_CascadedGatherAutoChunk)->Arg(2)->Arg(4);
 
 }  // namespace
 

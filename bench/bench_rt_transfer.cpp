@@ -47,7 +47,7 @@ BENCHMARK(BM_TokenPassAndObserve);
 // RunStats::transfers.
 void BM_CrossThreadTransfer(benchmark::State& state) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   constexpr std::uint64_t kChunks = 256;
   constexpr std::uint64_t kTransfers = kChunks - 1;
   for (auto _ : state) {

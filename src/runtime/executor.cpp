@@ -4,8 +4,6 @@
 #include <string>
 
 #include "casc/common/check.hpp"
-#include "casc/common/stopwatch.hpp"
-#include "casc/core/chunk.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -41,11 +39,11 @@ CascadeExecutor::CascadeExecutor(ExecutorConfig config) {
   std::vector<common::CacheAligned<WorkerState>> slots(num_threads_);
   worker_state_ = std::move(slots);
   health_ = std::vector<common::CacheAligned<WorkerHealth>>(num_threads_);
-  // An explicit cpu list implies pinning; worker i goes to cpus[i % size] so
-  // several executors can partition one machine's cores between them.
-  const bool pin = config.pin_threads || !config.cpus.empty();
+  // An explicit cpu list pins worker i to cpus[i % size] so several
+  // executors can partition one machine's cores between them.
+  const bool pin = !config.cpus.empty();
   const auto cpu_for = [cpus = config.cpus](unsigned id) {
-    return cpus.empty() ? id : cpus[id % cpus.size()];
+    return cpus[id % cpus.size()];
   };
   if (pin) try_pin_to_cpu(cpu_for(0));
   pool_.reserve(num_threads_ - 1);
@@ -623,16 +621,6 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
     stats_.preflight_refused = true;
     stats_.preflight_diag = common::render_text(gate.reason());
   }
-}
-
-void CascadeExecutor::run_auto(std::uint64_t total_iters, core::AdaptiveChunker& chunker,
-                               ExecRef exec, HelperRef helper) {
-  common::Stopwatch sw;
-  run(total_iters, chunker.current(), exec, helper);
-  // The chunker's model divides by both inputs; a degenerate call (empty
-  // loop, sub-tick wall time) carries no signal worth feeding back.
-  const double seconds = sw.elapsed_seconds();
-  if (total_iters > 0 && seconds > 0.0) chunker.record(seconds, total_iters);
 }
 
 }  // namespace casc::rt

@@ -55,10 +55,6 @@
 #include "casc/rt/token.hpp"
 #include "casc/telemetry/event_log.hpp"
 
-namespace casc::core {
-class AdaptiveChunker;  // casc/core/chunk.hpp
-}  // namespace casc::core
-
 namespace casc::rt {
 
 /// Executes iterations [begin, end) of the loop body.  Runs with the token
@@ -136,14 +132,11 @@ struct ExecutorConfig {
   /// Worker count (the calling thread is one of them); 0 means
   /// hardware_concurrency.
   unsigned num_threads = 0;
-  /// Best-effort: pin worker i to CPU i (Linux only; ignored elsewhere or on
-  /// failure).
-  bool pin_threads = false;
   /// Explicit affinity list: worker i is pinned to cpus[i % cpus.size()]
-  /// (implies pinning when non-empty).  This is how a multi-executor host —
-  /// e.g. one casc::svc shard per core partition — keeps concurrent token
-  /// rings off each other's cores; empty keeps the historical
-  /// worker-i-to-CPU-i behaviour under pin_threads.
+  /// (best-effort; Linux only, ignored elsewhere or on failure).  This is how
+  /// a multi-executor host — e.g. one casc::svc shard per core partition —
+  /// keeps concurrent token rings off each other's cores; empty leaves the
+  /// workers unpinned.
   std::vector<unsigned> cpus;
   /// Label for this executor in state dumps and diagnostics (e.g. a service
   /// shard id).  Empty renders as the anonymous single-executor form.
@@ -245,18 +238,9 @@ class CascadeExecutor {
   /// refusal) from casc::analysis.  On a refusal the helper is dropped — the
   /// cascade still runs, execution-phase results are identical, and the
   /// refusal is recorded in last_run_stats()
-  /// (preflight_refused / preflight_diag).  CASC_NO_VERIFY=1 overrides a
-  /// refusal at the caller's risk.
+  /// (preflight_refused / preflight_diag).
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
            HelperRef helper, const PreflightGate& gate);
-
-  /// Auto-chunk variant for repeated-call workloads (the wave5 pattern:
-  /// thousands of invocations of the same loop): uses `chunker.current()` as
-  /// the chunk size, times the run, and feeds the measurement back so the
-  /// chunk size hill-climbs across calls.  The chunker is caller-owned state;
-  /// one chunker per (loop, executor) pair.
-  void run_auto(std::uint64_t total_iters, core::AdaptiveChunker& chunker, ExecRef exec,
-                HelperRef helper = nullptr);
 
   /// Number of workers (including the calling thread).
   [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }

@@ -13,9 +13,8 @@
 //                      the helper, RestructuredLoop degrades it to a pure
 //                      prefetch (gather-and-discard) pass, and the refusal is
 //                      recorded in the run's stats — execution-phase results
-//                      are identical either way, just slower;
-//   * CASC_NO_VERIFY=1 in the environment overrides any refusal (escape
-//     hatch for experiments; the diagnostic is still recorded).
+//                      are identical either way, just slower.
+// Nothing overrides a refusal: a gate allows staging iff it is proven.
 #pragma once
 
 #include <string>
@@ -42,17 +41,8 @@ class PreflightGate {
     return gate;
   }
 
-  /// Convenience: proven() when `safe`, refused(reason) otherwise.
-  [[nodiscard]] static PreflightGate from_verdict(bool safe,
-                                                  common::Diagnostic reason) {
-    return safe ? proven() : refused(std::move(reason));
-  }
-
-  /// True when the helper may stage values: proven, or verification globally
-  /// disabled via CASC_NO_VERIFY (checked at call time).
-  [[nodiscard]] bool allow_restructure() const {
-    return proven_ || !common::verification_enabled();
-  }
+  /// True when the helper may stage values, i.e. the gate is proven.
+  [[nodiscard]] bool allow_restructure() const noexcept { return proven_; }
 
   [[nodiscard]] bool is_proven() const noexcept { return proven_; }
   [[nodiscard]] const common::Diagnostic& reason() const noexcept { return reason_; }

@@ -11,34 +11,26 @@
 // original sequential data path — so results are always identical to the
 // plain loop `for i: consume(i, gather(i))`.
 //
+// As in the paper, each worker's helper stages only its own next chunk, into
+// the worker's one sequential buffer, at a fixed chunk size.
+//
 // Hot-path structure (see docs/RUNTIME.md, "Performance tuning"):
 //   * Staging writes through a SequentialBuffer::WriteCursor — one hard
 //     bounds check per chunk, commit-to-publish, so a jump-out abandons the
 //     cursor and the buffer stays unpublished (never a half-staged drain).
 //   * Draining reads through a ReadCursor with a software prefetch running
-//     `drain_prefetch_distance` elements ahead of the consume position.
-//   * With lookahead L > 1 a worker that finishes staging its next chunk
-//     keeps going: it stages up to L-1 of its own future chunks (c+P, c+2P,
-//     ...) into its private buffer ring until the token signals it.  All
-//     staged flags for those chunks belong to the same worker, so no
-//     synchronization is added.
-//   * auto_chunk mode feeds each run's wall time into an AdaptiveChunker and
-//     uses its hill-climbed chunk size for the next run (the wave5 pattern:
-//     thousands of invocations of the same loop).
+//     kDrainPrefetchDistance elements ahead of the consume position.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "casc/common/check.hpp"
 #include "casc/common/simd.hpp"
-#include "casc/common/stopwatch.hpp"
-#include "casc/core/chunk.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
 #include "casc/rt/helpers.hpp"
@@ -115,23 +107,10 @@ void gather_block(const IndexedGather<T, I>& g, std::uint64_t begin,
 
 }  // namespace detail
 
-/// Tuning knobs for a RestructuredLoop (defaults reproduce the pre-lookahead
-/// behaviour: one buffer per worker, fixed chunk size).
+/// Tuning knobs for a RestructuredLoop.
 struct RestructuredOptions {
-  /// Chunk geometry; with auto_chunk this is the starting size.
+  /// Chunk geometry: iterations per chunk (and per staged buffer).
   std::uint64_t iters_per_chunk = 1024;
-  /// Buffers per worker (>= 1).  L > 1 lets an idle helper stage up to L of
-  /// its own future chunks ahead of the token.
-  unsigned lookahead = 1;
-  /// Hill-climb the chunk size across run() calls instead of fixing it.
-  bool auto_chunk = false;
-  /// Chunk-size bounds for auto_chunk (clamped to powers of two; buffers are
-  /// sized for max_chunk_iters).
-  std::uint64_t min_chunk_iters = 256;
-  std::uint64_t max_chunk_iters = 64 * 1024;
-  /// How many elements ahead of the consume position the drain loop
-  /// prefetches (0 disables).
-  std::uint64_t drain_prefetch_distance = 8;
   /// Seeded helper-fault schedule armed onto the staging helper (non-owning;
   /// must outlive run()).  The fail-soft executor absorbs the faults; faulted
   /// or reclaimed chunks consume through the gather() fallback path, so
@@ -144,15 +123,6 @@ struct RestructuredStats {
   std::uint64_t chunks = 0;
   std::uint64_t chunks_staged = 0;    ///< execution consumed the buffer
   std::uint64_t chunks_fallback = 0;  ///< helper jumped out; original path used
-  /// Chunks whose staging completed in a look-ahead pass (before their own
-  /// helper phase even started).  On a clean run a subset of chunks_staged;
-  /// on a degraded run a staged-ahead chunk may still be consumed through
-  /// the fallback path (its staging was distrusted or the chunk reclaimed),
-  /// so the subset property only holds when !degraded.
-  std::uint64_t chunks_staged_ahead = 0;
-  /// Chunk size this run actually used (differs from the configured size in
-  /// auto_chunk mode).
-  std::uint64_t iters_per_chunk = 0;
   /// True when the run was gated and the PreflightGate refused: no chunk
   /// staged, the helper degraded to gather-and-discard (pure prefetch), and
   /// preflight_diag carries the rendered refusal.
@@ -182,19 +152,12 @@ class RestructuredLoop {
   RestructuredLoop(CascadeExecutor& executor, RestructuredOptions options)
       : executor_(executor),
         options_(options),
-        buffers_(executor.num_threads(), buffer_iters(options) * sizeof(V),
-                 buffer_iters(options), std::max(1u, options.lookahead)) {
-    CASC_CHECK(options.iters_per_chunk > 0, "iters_per_chunk must be positive");
-    CASC_CHECK(options.lookahead > 0, "lookahead must be positive");
-    if (options_.auto_chunk) {
-      chunker_.emplace(options_.iters_per_chunk, options_.min_chunk_iters,
-                       options_.max_chunk_iters);
-    }
-  }
+        buffers_(executor.num_threads(), options.iters_per_chunk * sizeof(V),
+                 options.iters_per_chunk) {}
 
   /// Fixed-geometry convenience constructor (the pre-options interface).
   RestructuredLoop(CascadeExecutor& executor, std::uint64_t iters_per_chunk)
-      : RestructuredLoop(executor, make_fixed(iters_per_chunk)) {}
+      : RestructuredLoop(executor, RestructuredOptions{.iters_per_chunk = iters_per_chunk}) {}
 
   /// Runs `consume(i, gather(i))` for i in [0, n), sequentially, cascaded
   /// across the executor's workers with a restructuring helper.
@@ -209,7 +172,7 @@ class RestructuredLoop {
   /// warms the worker's cache (the prefetch effect) but never publishes a
   /// staged buffer, so every execution phase re-resolves via gather() and
   /// results are exactly the plain loop's.  The refusal is recorded in
-  /// last_run_stats().  CASC_NO_VERIFY=1 overrides a refusal.
+  /// last_run_stats().
   template <typename Gather, typename Consume>
   void run(std::uint64_t n, Gather&& gather, Consume&& consume,
            const PreflightGate& gate) {
@@ -225,73 +188,18 @@ class RestructuredLoop {
     return stats_;
   }
 
-  /// Chunk size the NEXT run will use (the adapted size in auto_chunk mode,
-  /// the configured size otherwise).
-  [[nodiscard]] std::uint64_t current_iters_per_chunk() const noexcept {
-    return chunker_ ? chunker_->current() : options_.iters_per_chunk;
-  }
-
  private:
-  static RestructuredOptions make_fixed(std::uint64_t iters_per_chunk) {
-    RestructuredOptions o;
-    o.iters_per_chunk = iters_per_chunk;
-    return o;
-  }
-
-  /// Iteration capacity each buffer must hold: the largest chunk this
-  /// instance can ever be asked to stage.
-  static std::uint64_t buffer_iters(const RestructuredOptions& o) {
-    return o.auto_chunk ? std::max(o.iters_per_chunk, o.max_chunk_iters)
-                        : o.iters_per_chunk;
-  }
+  /// Elements the drain loop prefetches ahead of the consume position.
+  static constexpr std::uint64_t kDrainPrefetchDistance = 8;
 
   template <typename Gather, typename Consume>
   void run_impl(std::uint64_t n, Gather& gather, Consume& consume,
                 bool allow_stage) {
-    const std::uint64_t ipc = current_iters_per_chunk();
+    const std::uint64_t ipc = options_.iters_per_chunk;
     const std::uint64_t num_chunks = n == 0 ? 0 : (n + ipc - 1) / ipc;
-    const std::uint64_t prefetch_dist = options_.drain_prefetch_distance;
-    const unsigned P = executor_.num_threads();
-    const unsigned lookahead = options_.lookahead;
     staged_.assign(num_chunks, 0);
     stats_ = RestructuredStats{};
     stats_.chunks = num_chunks;
-    stats_.iters_per_chunk = ipc;
-
-    // Stages chunk `c` through a write cursor.  Returns false on jump-out, in
-    // which case the cursor is abandoned uncommitted: the buffer publishes
-    // nothing and the chunk stays unstaged (the execution phase falls back).
-    const auto stage_chunk = [&](std::uint64_t c, const TokenWatch& watch) {
-      const std::uint64_t b = c * ipc;
-      const std::uint64_t e = std::min(b + ipc, n);
-      SequentialBuffer& buf = buffers_.for_chunk_index(c);
-      buf.reset();
-      auto cursor = buf.template write_cursor<V>(e - b);
-      if constexpr (detail::is_indexed_gather_v<Gather>) {
-        // SIMD fast path: gather whole blocks straight into the cursor's
-        // reserved span, polling the token between blocks.  A jump-out
-        // abandons the cursor exactly like the scalar path.
-        constexpr std::uint64_t kBlock = 1024;
-        for (std::uint64_t i = b; i < e;) {
-          if (watch.signalled()) return false;  // jump out
-          const std::uint64_t len = std::min(kBlock, e - i);
-          detail::gather_block(gather, i, len, cursor.reserve_span(len));
-          cursor.advance(len);
-          i += len;
-        }
-      } else {
-        for (std::uint64_t i = b; i < e; ++i) {
-          if ((i & 0x3f) == 0 && watch.signalled()) return false;  // jump out
-          cursor.push(gather(i));
-        }
-      }
-      cursor.commit();
-      // Written and later read by the same worker: chunk c's helper and
-      // execution phases (and any look-ahead pass that reaches c) all run on
-      // worker c mod P, so a plain byte is race-free.
-      staged_[c] = 1;
-      return true;
-    };
 
     const auto exec = [&](std::uint64_t begin, std::uint64_t end) {
       const std::uint64_t chunk = begin / ipc;
@@ -311,7 +219,7 @@ class RestructuredLoop {
           consume(begin, end, cursor.data());
         } else {
           for (std::uint64_t i = begin; i < end; ++i) {
-            if (prefetch_dist != 0) cursor.prefetch(prefetch_dist);
+            cursor.prefetch(kDrainPrefetchDistance);
             consume(i, cursor.next());
           }
         }
@@ -341,7 +249,6 @@ class RestructuredLoop {
 
     const auto helper = [&](std::uint64_t begin, std::uint64_t end,
                             const TokenWatch& watch) {
-      const std::uint64_t chunk = begin / ipc;
       if (!allow_stage) {
         // Refused gate: keep the gather's cache-warming effect but never
         // publish a staged buffer.
@@ -351,23 +258,39 @@ class RestructuredLoop {
         }
         return true;
       }
-      (void)end;
-      // Own chunk first (unless a look-ahead pass already staged it)...
-      if (staged_[chunk] == 0 && !stage_chunk(chunk, watch)) return false;
-      // ...then run ahead into this worker's future chunks until the
-      // token (or the ring capacity) stops us.  The helper has completed
-      // for ITS chunk either way, so the return value stays true.
-      for (unsigned k = 1; k < lookahead; ++k) {
-        const std::uint64_t f = chunk + std::uint64_t{k} * P;
-        if (f >= num_chunks || watch.signalled()) break;
-        if (staged_[f] != 0) continue;
-        if (!stage_chunk(f, watch)) break;
-        stats_local_ahead_.fetch_add(1, std::memory_order_relaxed);
+      // Stage through a write cursor.  On jump-out the cursor is abandoned
+      // uncommitted: the buffer publishes nothing and the chunk stays
+      // unstaged (the execution phase falls back).
+      const std::uint64_t c = begin / ipc;
+      SequentialBuffer& buf = buffers_.for_chunk_index(c);
+      buf.reset();
+      auto cursor = buf.template write_cursor<V>(end - begin);
+      if constexpr (detail::is_indexed_gather_v<Gather>) {
+        // SIMD fast path: gather whole blocks straight into the cursor's
+        // reserved span, polling the token between blocks.  A jump-out
+        // abandons the cursor exactly like the scalar path.
+        constexpr std::uint64_t kBlock = 1024;
+        for (std::uint64_t i = begin; i < end;) {
+          if (watch.signalled()) return false;  // jump out
+          const std::uint64_t len = std::min(kBlock, end - i);
+          detail::gather_block(gather, i, len, cursor.reserve_span(len));
+          cursor.advance(len);
+          i += len;
+        }
+      } else {
+        for (std::uint64_t i = begin; i < end; ++i) {
+          if ((i & 0x3f) == 0 && watch.signalled()) return false;  // jump out
+          cursor.push(gather(i));
+        }
       }
+      cursor.commit();
+      // Written and later read by the same worker: chunk c's helper and
+      // execution phases both run on worker c mod P, so a plain byte is
+      // race-free.
+      staged_[c] = 1;
       return true;
     };
 
-    common::Stopwatch sw;
     if (options_.chaos != nullptr && !options_.chaos->empty()) {
       // The owning HelperFn local keeps the armed wrapper alive across run().
       const HelperFn armed = options_.chaos->arm(HelperFn(helper));
@@ -376,15 +299,9 @@ class RestructuredLoop {
       executor_.run(n, ipc, exec, helper);
     }
 
-    if (chunker_ && n > 0) {
-      const double seconds = sw.elapsed_seconds();
-      if (seconds > 0.0) chunker_->record(seconds, n);
-    }
-
     // chunks_staged is tallied on worker threads via relaxed counters; fold
     // them into the stats now that all workers have finished.
     stats_.chunks_staged = stats_local_staged_.exchange(0);
-    stats_.chunks_staged_ahead = stats_local_ahead_.exchange(0);
     stats_.chunks_fallback = stats_.chunks - stats_.chunks_staged;
     const RunStats& run_stats = executor_.last_run_stats();
     stats_.helper_faults = run_stats.helper_faults;
@@ -396,10 +313,8 @@ class RestructuredLoop {
   CascadeExecutor& executor_;
   RestructuredOptions options_;
   PerWorkerBuffers buffers_;
-  std::optional<core::AdaptiveChunker> chunker_;
   std::vector<char> staged_;  // distinct bytes written by distinct workers
   std::atomic<std::uint64_t> stats_local_staged_{0};
-  std::atomic<std::uint64_t> stats_local_ahead_{0};
   RestructuredStats stats_;
 };
 

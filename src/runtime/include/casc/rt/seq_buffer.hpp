@@ -63,7 +63,7 @@ class SequentialBuffer {
 
   /// Appends one value (helper phase).  Bounds are CASC_DCHECK-only: this is
   /// the per-iteration hot path.  Callers that cannot prove capacity should
-  /// size the buffer via the chunk geometry (as PerWorkerBuffers does) or use
+  /// size the buffer for one chunk (as RestructuredLoop does) or use
   /// push_span()/write_cursor(), which hard-check.
   template <typename T>
   void push(const T& value) {

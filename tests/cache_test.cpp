@@ -1,6 +1,9 @@
 // Unit tests for the set-associative cache: geometry, LRU, states, stats.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "casc/common/check.hpp"
 #include "casc/sim/cache.hpp"
 
@@ -198,6 +201,17 @@ struct Geometry {
   std::uint32_t assoc;
 };
 
+// One readable name per geometry (e.g. 32KB_l32_w2: capacity, line size,
+// ways), used both as the test name and as the printed GetParam() value.
+// Kept short so the whole ctest id stays within 100 characters.
+std::string geometry_name(const Geometry& g) {
+  const std::string size = g.size % (1u << 20) == 0 ? std::to_string(g.size >> 20) + "MB"
+                           : g.size % 1024 == 0     ? std::to_string(g.size >> 10) + "KB"
+                                                    : std::to_string(g.size) + "B";
+  return size + "_l" + std::to_string(g.line) + "_w" + std::to_string(g.assoc);
+}
+void PrintTo(const Geometry& g, std::ostream* os) { *os << geometry_name(g); }
+
 class CacheGeometrySweep : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(CacheGeometrySweep, CapacityFillsWithoutEviction) {
@@ -229,6 +243,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{8 * 1024, 32, 2},      // Pentium Pro L1
                       Geometry{32 * 1024, 32, 2},     // R10000 L1
                       Geometry{512 * 1024, 32, 4},    // Pentium Pro L2
-                      Geometry{2 * 1024 * 1024, 128, 2}));  // R10000 L2
+                      Geometry{2 * 1024 * 1024, 128, 2}),  // R10000 L2
+    [](const ::testing::TestParamInfo<Geometry>& info) {
+      return geometry_name(info.param);
+    });
 
 }  // namespace

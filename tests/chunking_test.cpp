@@ -2,6 +2,9 @@
 // invariants the cascade engine depends on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "casc/core/chunk.hpp"
 #include "casc/common/check.hpp"
 
@@ -76,6 +79,14 @@ struct PlanParams {
   std::uint64_t per_chunk;
 };
 
+// One readable name per partition (n<total>_c<per_chunk>), used both as the
+// test name and as the printed GetParam() value.  Kept short so the whole
+// ctest id stays within 100 characters.
+std::string plan_name(const PlanParams& p) {
+  return "n" + std::to_string(p.total) + "_c" + std::to_string(p.per_chunk);
+}
+void PrintTo(const PlanParams& p, std::ostream* os) { *os << plan_name(p); }
+
 class ChunkPlanSweep : public ::testing::TestWithParam<PlanParams> {};
 
 TEST_P(ChunkPlanSweep, ChunksTileTheIterationSpace) {
@@ -100,6 +111,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PlanParams{1, 1}, PlanParams{1, 100}, PlanParams{100, 1},
                       PlanParams{100, 7}, PlanParams{100, 100}, PlanParams{101, 100},
                       PlanParams{4096, 64}, PlanParams{99999, 1000},
-                      PlanParams{1 << 20, 4096}));
+                      PlanParams{1 << 20, 4096}),
+    [](const ::testing::TestParamInfo<PlanParams>& info) {
+      return plan_name(info.param);
+    });
 
 }  // namespace

@@ -3,6 +3,9 @@
 // jump-out, helper-time models, and start states.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "casc/cascade/engine.hpp"
 #include "casc/common/check.hpp"
 #include "casc/synth/synthetic_loop.hpp"
@@ -299,6 +302,15 @@ struct EngineParams {
   std::uint64_t chunk_bytes;
 };
 
+// One readable, build-stable name per grid point, used both as the test
+// name and as the printed GetParam() value (raw bytes would include
+// padding).
+std::string sweep_name(const EngineParams& p) {
+  return to_string(p.helper) + "_p" + std::to_string(p.procs) + "_" +
+         std::to_string(p.chunk_bytes) + "B";
+}
+void PrintTo(const EngineParams& p, std::ostream* os) { *os << sweep_name(p); }
+
 class EngineSweep : public ::testing::TestWithParam<EngineParams> {};
 
 TEST_P(EngineSweep, InvariantsHold) {
@@ -337,6 +349,9 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParams{HelperKind::kPrefetch, 8, 16384},
                       EngineParams{HelperKind::kRestructure, 2, 2048},
                       EngineParams{HelperKind::kRestructure, 4, 4096},
-                      EngineParams{HelperKind::kRestructure, 8, 16384}));
+                      EngineParams{HelperKind::kRestructure, 8, 16384}),
+    [](const ::testing::TestParamInfo<EngineParams>& info) {
+      return sweep_name(info.param);
+    });
 
 }  // namespace

@@ -53,7 +53,7 @@ void expect_complete_and_correct(CascadeExecutor& ex,
 }
 
 TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.resilience.max_helper_faults = 1;  // first strike quarantines
   CascadeExecutor ex(config);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -84,7 +84,7 @@ TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
 TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
   // Worker 0 is the cascade's completion guarantee and never leaves it: its
   // quarantine disables its helper, nothing else.
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.resilience.max_helper_faults = 1;
   CascadeExecutor ex(config);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -104,7 +104,7 @@ TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
 TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
   // P == 1: worker 0 is the whole cascade.  Its helper faulting must not
   // abort anything — the helper is disabled, execution continues in-line.
-  ExecutorConfig config{1, false};
+  ExecutorConfig config{1};
   config.resilience.max_helper_faults = 1;
   CascadeExecutor ex(config);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -118,7 +118,7 @@ TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
 }
 
 TEST(Retry, FaultedHelperIsRetriedAfterBackoff) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.resilience.max_helper_faults = 10;
   config.resilience.retry_backoff = std::chrono::milliseconds(0);  // instant
   CascadeExecutor ex(config);
@@ -146,7 +146,7 @@ TEST(Retry, FaultedHelperIsRetriedAfterBackoff) {
 }
 
 TEST(Demotion, SoftBudgetDemotesAndStillCompletes) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   CascadeExecutor ex(config);
   ex.set_soft_budget(std::chrono::milliseconds(1), std::chrono::milliseconds(2));
   std::vector<std::uint64_t> out(kIters, 0);
@@ -173,7 +173,7 @@ TEST(Demotion, SoftBudgetDemotesAndStillCompletes) {
 }
 
 TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.resilience.max_helper_faults = 1;
   CascadeExecutor ex(config);
   std::vector<char> reclaimed(kChunks, 0);
@@ -202,7 +202,7 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
 }
 
 TEST(StateDumpDegradation, SnapshotAndRenderCarryDegradationCounters) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.resilience.max_helper_faults = 1;
   CascadeExecutor ex(config);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -228,7 +228,7 @@ TEST(AbortAccounting, TransfersReflectExecutedChunksNotThePlan) {
   // Satellite fix: an aborted run used to report the full planned transfer
   // count.  Transfers only happen between executed chunks, so a run that
   // died at chunk k made at most k-1 hand-offs.
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   for (const std::uint64_t failing : {std::uint64_t{0}, kChunks / 2}) {
     const FaultPlan plan = FaultPlan::throw_in_exec(failing, kChunkIters);
     EXPECT_THROW(
@@ -276,7 +276,7 @@ TEST(ChaosPlanTest, ChaosRunCompletesWithCorrectResults) {
   opt.max_stall = std::chrono::milliseconds(1);
   const ChaosPlan plan = ChaosPlan::make(7, kChunks, kChunkIters, opt);
   ASSERT_EQ(plan.faults().size(), kChunks);
-  CascadeExecutor ex(ExecutorConfig{4, false});
+  CascadeExecutor ex(ExecutorConfig{4});
   std::vector<std::uint64_t> out(kIters, 0);
   const casc::rt::HelperFn armed =
       plan.arm([](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; });

@@ -86,7 +86,7 @@ TEST(TokenAbort, ResetClearsThePoison) {
 class FaultThreads : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FaultThreads, ExecThrowRethrownOnCallingThread) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   // Throw on every chunk owner in turn: chunk 0 (the calling thread), a
   // middle chunk, and the last chunk.
   for (const std::uint64_t failing : {std::uint64_t{0}, kChunks / 2, kChunks - 1}) {
@@ -113,7 +113,7 @@ TEST_P(FaultThreads, HelperThrowIsAbsorbedFailSoft) {
   // The fail-soft contract: a helper fault never surfaces on the calling
   // thread and never aborts the cascade — it is charged to the worker's
   // health and the run completes with every chunk executed.
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   const std::uint64_t failing = kChunks - 1;
   const FaultPlan plan = FaultPlan::throw_in_helper(failing, kChunkIters);
   ex.run(
@@ -133,7 +133,7 @@ TEST_P(FaultThreads, HelperThrowIsAbsorbedFailSoft) {
 
 TEST_P(FaultThreads, HelperThrowRethrownOnCallingThreadLegacy) {
   // fail_soft = false restores the historical fail-stop helper contract.
-  ExecutorConfig config{GetParam(), false};
+  ExecutorConfig config{GetParam()};
   config.resilience.fail_soft = false;
   CascadeExecutor ex(config);
   // Helpers for early chunks may be skipped (token already arrived), in
@@ -162,7 +162,7 @@ TEST_P(FaultThreads, HelperThrowRethrownOnCallingThreadLegacy) {
 }
 
 TEST_P(FaultThreads, ArbitraryExceptionTypesPropagate) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   EXPECT_THROW(ex.run(kIters, kChunkIters,
                       [](std::uint64_t b, std::uint64_t) {
                         if (b == 2 * kChunkIters) throw std::string("not even std::exception");
@@ -172,7 +172,7 @@ TEST_P(FaultThreads, ArbitraryExceptionTypesPropagate) {
 }
 
 TEST_P(FaultThreads, RepeatedFailuresDoNotWedgeThePool) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   for (int round = 0; round < 8; ++round) {
     const std::uint64_t failing = static_cast<std::uint64_t>(round) % kChunks;
     const FaultPlan plan = FaultPlan::throw_in_exec(failing, kChunkIters);
@@ -189,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, FaultThreads,
 // ---- watchdog ----------------------------------------------------------------
 
 TEST(Watchdog, StalledExecTriggersWatchdogExpired) {
-  ExecutorConfig config{4, false};
+  ExecutorConfig config{4};
   config.watchdog = std::chrono::milliseconds(100);
   CascadeExecutor ex(config);
   // Stall chunk 1 far beyond the deadline.  The stall is finite — a wedged
@@ -220,7 +220,7 @@ TEST(Watchdog, StalledExecTriggersWatchdogExpired) {
 TEST(Watchdog, SingleThreadStallIsStillCaught) {
   // With P == 1 nobody is ever blocked in await, so expiry is detected at
   // the next chunk boundary.
-  ExecutorConfig config{1, false};
+  ExecutorConfig config{1};
   config.watchdog = std::chrono::milliseconds(50);
   CascadeExecutor ex(config);
   const FaultPlan plan =
@@ -233,7 +233,7 @@ TEST(Watchdog, SingleThreadStallIsStillCaught) {
 }
 
 TEST(Watchdog, StalledHelperIgnoringJumpOutIsCaught) {
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.watchdog = std::chrono::milliseconds(80);
   // Legacy fail-stop helpers: with fail-soft on, the stalled chunk would be
   // reclaimed and the watchdog would (correctly) never fire.
@@ -261,7 +261,7 @@ TEST(Watchdog, StalledHelperIsRescuedFailSoft) {
   // The fail-soft counterpart: the same ignore-jump-out stall, but the
   // runtime reclaims the wedged chunk after the stall grace instead of
   // letting the watchdog kill the run.
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.watchdog = std::chrono::milliseconds(5000);
   CascadeExecutor ex(config);
   const FaultPlan plan = FaultPlan::stall_in_helper(
@@ -284,7 +284,7 @@ TEST(Watchdog, ParkedStallInHelperStillProducesDump) {
   // Futex-parked waiters must not blind the watchdog: a stalled fail-stop
   // helper under WaitMode::kPark still expires the deadline, and the dump
   // captured at expiry covers every worker (including the parked ones).
-  ExecutorConfig config{4, false};
+  ExecutorConfig config{4};
   config.watchdog = std::chrono::milliseconds(80);
   config.wait_mode = WaitMode::kPark;
   config.resilience.fail_soft = false;
@@ -312,7 +312,7 @@ TEST(Watchdog, ParkedStallInHelperStillProducesDump) {
 TEST(Watchdog, ParkedStallInHelperIsRescuedFailSoft) {
   // Same parked setup with fail-soft on: the wedged chunk is reclaimed and
   // the cascade completes without the watchdog firing.
-  ExecutorConfig config{4, false};
+  ExecutorConfig config{4};
   config.watchdog = std::chrono::milliseconds(5000);
   config.wait_mode = WaitMode::kPark;
   CascadeExecutor ex(config);
@@ -330,7 +330,7 @@ TEST(Watchdog, ParkedStallInHelperIsRescuedFailSoft) {
 TEST(Watchdog, WellBehavedHelperStallHonoursJumpOutAndSucceeds) {
   // A stalling helper that polls the watch jumps out when its turn comes:
   // the cascade finishes with no watchdog involvement.
-  ExecutorConfig config{2, false};
+  ExecutorConfig config{2};
   config.watchdog = std::chrono::milliseconds(2000);
   CascadeExecutor ex(config);
   const FaultPlan plan = FaultPlan::stall_in_helper(
@@ -343,7 +343,7 @@ TEST(Watchdog, WellBehavedHelperStallHonoursJumpOutAndSucceeds) {
 }
 
 TEST(Watchdog, HealthyRunNeverTrips) {
-  ExecutorConfig config{4, false};
+  ExecutorConfig config{4};
   config.watchdog = std::chrono::milliseconds(10000);
   CascadeExecutor ex(config);
   expect_successful_run(ex);
@@ -352,7 +352,7 @@ TEST(Watchdog, HealthyRunNeverTrips) {
 // ---- re-entrancy guard -------------------------------------------------------
 
 TEST(Reentrancy, RunInsideExecFnFailsLoudly) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   // The nested run() throws CheckFailure inside the exec phase; the outer
   // run() captures and rethrows it — loud failure instead of deadlock.
   EXPECT_THROW(ex.run(kIters, kChunkIters,
@@ -366,7 +366,7 @@ TEST(Reentrancy, RunInsideExecFnFailsLoudly) {
 }
 
 TEST(Reentrancy, ConcurrentRunFromAnotherThreadFailsLoudly) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   std::atomic<bool> started{false};
   std::thread runner([&] {
     ex.run(8, 1, [&](std::uint64_t, std::uint64_t) {
@@ -383,7 +383,7 @@ TEST(Reentrancy, ConcurrentRunFromAnotherThreadFailsLoudly) {
 // ---- diagnostics -------------------------------------------------------------
 
 TEST(StateDump, SnapshotOfIdleExecutor) {
-  CascadeExecutor ex(ExecutorConfig{3, false});
+  CascadeExecutor ex(ExecutorConfig{3});
   expect_successful_run(ex);
   const CascadeStateDump dump = ex.snapshot();
   EXPECT_FALSE(dump.run_active);
@@ -403,14 +403,14 @@ TEST(StateDump, SnapshotOfIdleExecutor) {
 TEST(StateDump, DumpStateSeesLiveExecutors) {
   const std::size_t before = casc::rt::dump_state().size();
   {
-    CascadeExecutor ex(ExecutorConfig{2, false});
+    CascadeExecutor ex(ExecutorConfig{2});
     EXPECT_EQ(casc::rt::dump_state().size(), before + 1);
   }
   EXPECT_EQ(casc::rt::dump_state().size(), before);
 }
 
 TEST(StateDump, RenderMentionsTokenAndWorkers) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   expect_successful_run(ex);
   const std::string text = casc::rt::render(ex.snapshot());
   EXPECT_NE(text.find("token=" + std::to_string(kChunks)), std::string::npos) << text;
@@ -423,7 +423,7 @@ TEST(StateDump, WatchdogDumpCarriesRecentTelemetryEvents) {
   // include the trailing phase events — the "what was everyone doing just
   // before it wedged" evidence — and render() must show them.
   casc::telemetry::EventLog log(4, 256);
-  ExecutorConfig config{4, false};
+  ExecutorConfig config{4};
   config.watchdog = std::chrono::milliseconds(100);
   config.event_log = &log;
   CascadeExecutor ex(config);
@@ -450,7 +450,7 @@ TEST(StateDump, WatchdogDumpCarriesRecentTelemetryEvents) {
 }
 
 TEST(StateDump, SnapshotDuringRunShowsActiveCascade) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   std::atomic<bool> observed{false};
   CascadeStateDump seen;
   std::atomic<bool> in_chunk{false};

@@ -39,7 +39,7 @@ void verify_clean_run(CascadeExecutor& ex) {
 class FaultStress : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FaultStress, ThrowAtEveryChunkPosition) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   for (std::uint64_t failing = 0; failing < kChunks; ++failing) {
     const FaultPlan plan = FaultPlan::throw_in_exec(failing, kChunkIters);
     try {
@@ -55,7 +55,7 @@ TEST_P(FaultStress, ThrowAtEveryChunkPosition) {
 }
 
 TEST_P(FaultStress, HelperThrowAtEveryChunkPosition) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   for (std::uint64_t failing = 0; failing < kChunks; ++failing) {
     const FaultPlan plan = FaultPlan::throw_in_helper(failing, kChunkIters);
     try {
@@ -75,7 +75,7 @@ TEST_P(FaultStress, HelperThrowAtEveryChunkPosition) {
 }
 
 TEST_P(FaultStress, RandomizedMixedFaultSoak) {
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   casc::common::Rng rng(0xF417u + GetParam());
   for (int round = 0; round < 40; ++round) {
     const std::uint64_t failing = rng.below(kChunks);
@@ -100,7 +100,7 @@ TEST_P(FaultStress, RandomizedMixedFaultSoak) {
 TEST_P(FaultStress, RepeatedWatchdogExpiries) {
   // Generous deadline: clean runs are microseconds, but sanitizer builds on
   // loaded CI hosts need headroom to never trip on a healthy cascade.
-  ExecutorConfig config{GetParam(), false};
+  ExecutorConfig config{GetParam()};
   config.watchdog = std::chrono::milliseconds(100);
   CascadeExecutor ex(config);
   for (int round = 0; round < 3; ++round) {

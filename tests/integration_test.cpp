@@ -133,7 +133,7 @@ TEST(Integration, SimulatedAndRealRuntimeAgreeOnChunkStructure) {
   // identically for the same parameters.
   const std::uint64_t n = 3333, chunk_iters = 128;
   const auto plan = casc::core::ChunkPlan::for_iters(n, chunk_iters);
-  casc::rt::CascadeExecutor ex(casc::rt::ExecutorConfig{2, false});
+  casc::rt::CascadeExecutor ex(casc::rt::ExecutorConfig{2});
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
   ex.run(n, chunk_iters,
          [&](std::uint64_t b, std::uint64_t e) { seen.emplace_back(b, e); });

@@ -1,6 +1,8 @@
 // Tests for the runtime preflight gate: gated CascadeExecutor::run and
 // RestructuredLoop::run must refuse to let an unproven helper stage values,
-// degrade to the always-correct path, and log the refusal diagnostic.
+// degrade to the always-correct path, and log the refusal diagnostic.  No
+// environment variable overrides a refusal; the CASC_NO_VERIFY tests pin
+// that the old escape hatch is gone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,17 +36,15 @@ Diagnostic hazard_diag() {
   return d;
 }
 
+/// Sets CASC_NO_VERIFY=1 (the removed escape hatch) for the duration of a
+/// test and restores the previous value after.
 class ScopedNoVerify {
  public:
-  explicit ScopedNoVerify(const char* value) {
+  ScopedNoVerify() {
     const char* old = std::getenv("CASC_NO_VERIFY");
     had_old_ = old != nullptr;
     if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("CASC_NO_VERIFY", value, 1);
-    } else {
-      ::unsetenv("CASC_NO_VERIFY");
-    }
+    ::setenv("CASC_NO_VERIFY", "1", 1);
   }
   ~ScopedNoVerify() {
     if (had_old_) {
@@ -60,7 +60,6 @@ class ScopedNoVerify {
 };
 
 TEST(PreflightGate, VerdictConstruction) {
-  ScopedNoVerify env(nullptr);
   const PreflightGate proven = PreflightGate::proven();
   EXPECT_TRUE(proven.is_proven());
   EXPECT_TRUE(proven.allow_restructure());
@@ -69,25 +68,32 @@ TEST(PreflightGate, VerdictConstruction) {
   EXPECT_FALSE(refused.is_proven());
   EXPECT_FALSE(refused.allow_restructure());
   EXPECT_EQ(refused.reason().rule, "hazard-cross-chunk");
-
-  EXPECT_TRUE(PreflightGate::from_verdict(true, hazard_diag()).is_proven());
-  EXPECT_FALSE(PreflightGate::from_verdict(false, hazard_diag()).is_proven());
 }
 
-TEST(PreflightGate, EnvOverrideAllowsRefusedGate) {
-  ScopedNoVerify env("1");
+TEST(PreflightGate, NoVerifyEnvDoesNotOverrideARefusal) {
+  ScopedNoVerify env;
   const PreflightGate refused = PreflightGate::refused(hazard_diag());
-  EXPECT_FALSE(refused.is_proven());
-  EXPECT_TRUE(refused.allow_restructure());
+  EXPECT_FALSE(refused.allow_restructure());
+
+  std::atomic<std::uint64_t> helper_calls{0};
+  CascadeExecutor ex(ExecutorConfig{2});
+  ex.run(
+      1024, 128, [](std::uint64_t, std::uint64_t) {},
+      [&](std::uint64_t, std::uint64_t, const TokenWatch&) {
+        ++helper_calls;
+        return true;
+      },
+      refused);
+  EXPECT_EQ(helper_calls.load(), 0u) << "the executor must drop the helper";
+  EXPECT_TRUE(ex.last_run_stats().preflight_refused);
 }
 
 TEST(ExecutorGate, RefusedGateDropsHelperAndLogsDiagnostic) {
-  ScopedNoVerify env(nullptr);
   const std::uint64_t n = 1024;
   std::vector<std::uint64_t> out(n, 0);
   std::atomic<std::uint64_t> helper_calls{0};
 
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   ex.run(
       n, 128,
       [&](std::uint64_t begin, std::uint64_t end) {
@@ -110,10 +116,9 @@ TEST(ExecutorGate, RefusedGateDropsHelperAndLogsDiagnostic) {
 }
 
 TEST(ExecutorGate, ProvenGateRunsHelperNormally) {
-  ScopedNoVerify env(nullptr);
   const std::uint64_t n = 1024;
   std::atomic<std::uint64_t> helper_calls{0};
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   ex.run(
       n, 128, [](std::uint64_t, std::uint64_t) {},
       [&](std::uint64_t, std::uint64_t, const TokenWatch&) {
@@ -128,8 +133,7 @@ TEST(ExecutorGate, ProvenGateRunsHelperNormally) {
 }
 
 TEST(ExecutorGate, StatsResetBetweenGatedRuns) {
-  ScopedNoVerify env(nullptr);
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   auto exec = [](std::uint64_t, std::uint64_t) {};
   auto helper = [](std::uint64_t, std::uint64_t, const TokenWatch&) {
     return true;
@@ -142,14 +146,13 @@ TEST(ExecutorGate, StatsResetBetweenGatedRuns) {
 }
 
 TEST(RestructuredGate, RefusedGateNeverStagesButStaysCorrect) {
-  ScopedNoVerify env(nullptr);
   const std::uint64_t n = 2048;
   std::vector<double> a(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = 0.5 * static_cast<double>(i);
   std::vector<double> want(n), got(n);
   for (std::uint64_t i = 0; i < n; ++i) want[i] = a[i] + 1.0;
 
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   RestructuredLoop<double> loop(ex, 128);
   loop.run(
       n, [&](std::uint64_t i) { return a[i]; },
@@ -168,13 +171,12 @@ TEST(RestructuredGate, RefusedGateNeverStagesButStaysCorrect) {
 }
 
 TEST(RestructuredGate, ProvenGateStagesLikeUngatedRun) {
-  ScopedNoVerify env(nullptr);
   const std::uint64_t n = 2048;
   std::vector<double> a(n);
   for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<double>(i);
   std::vector<double> got(n);
 
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   RestructuredLoop<double> loop(ex, 128);
   loop.run(
       n, [&](std::uint64_t i) { return a[i]; },
@@ -186,21 +188,22 @@ TEST(RestructuredGate, ProvenGateStagesLikeUngatedRun) {
   EXPECT_EQ(stats.chunks_staged + stats.chunks_fallback, stats.chunks);
 }
 
-TEST(RestructuredGate, EnvOverrideLetsARefusedGateStage) {
-  ScopedNoVerify env("1");
+TEST(RestructuredGate, NoVerifyEnvDoesNotLetARefusedGateStage) {
+  ScopedNoVerify env;
   const std::uint64_t n = 1024;
   std::vector<double> a(n, 2.0);
   std::vector<double> got(n);
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   RestructuredLoop<double> loop(ex, 128);
   loop.run(
       n, [&](std::uint64_t i) { return a[i]; },
       [&](std::uint64_t i, double v) { got[i] = v; },
       PreflightGate::refused(hazard_diag()));
-  // With the escape hatch the helper may stage again; either way results
-  // are correct and no refusal is recorded.
   for (double v : got) ASSERT_EQ(v, 2.0);
-  EXPECT_FALSE(loop.last_run_stats().preflight_refused);
+  const auto& stats = loop.last_run_stats();
+  EXPECT_EQ(stats.chunks_staged, 0u);
+  EXPECT_EQ(stats.chunks_fallback, stats.chunks);
+  EXPECT_TRUE(stats.preflight_refused);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Tests for the preflight restructure-safety verifier: the claim checker
 // over workload reference streams, the engine's demotion of unproven
-// restructure helpers, the CASC_NO_VERIFY escape hatch, and helper
+// restructure helpers (which no environment variable disables), and helper
 // selection over unsafe loops.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "casc/analysis/refstream.hpp"
@@ -69,18 +70,15 @@ class LyingWorkload final : public casc::core::Workload {
   std::uint64_t n_;
 };
 
-/// Clears CASC_NO_VERIFY for the duration of a test and restores it after.
+/// Sets CASC_NO_VERIFY=1 (the removed escape hatch) for the duration of a
+/// test and restores the previous value after.
 class ScopedNoVerify {
  public:
-  explicit ScopedNoVerify(const char* value) {
+  ScopedNoVerify() {
     const char* old = std::getenv("CASC_NO_VERIFY");
     had_old_ = old != nullptr;
     if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("CASC_NO_VERIFY", value, 1);
-    } else {
-      ::unsetenv("CASC_NO_VERIFY");
-    }
+    ::setenv("CASC_NO_VERIFY", "1", 1);
   }
   ~ScopedNoVerify() {
     if (had_old_) {
@@ -137,7 +135,6 @@ TEST(Preflight, TruncatedVerdictIsMarked) {
 }
 
 TEST(Preflight, EngineDemotesUnprovenRestructureToPrefetch) {
-  ScopedNoVerify env(nullptr);  // verification on
   const LyingWorkload workload(2048);
   CascadeSimulator sim(mini_machine(4));
   CascadeOptions opt;
@@ -161,7 +158,6 @@ TEST(Preflight, EngineDemotesUnprovenRestructureToPrefetch) {
 }
 
 TEST(Preflight, SafeWorkloadIsNotDemoted) {
-  ScopedNoVerify env(nullptr);
   const auto nest = make_stream_loop(2048, 3, LayoutPolicy::kConflicting);
   const LoopWorkload workload(nest);
   CascadeSimulator sim(mini_machine(4));
@@ -173,39 +169,19 @@ TEST(Preflight, SafeWorkloadIsNotDemoted) {
   EXPECT_TRUE(result.preflight_diags.empty());
 }
 
-TEST(Preflight, SetVerifyFalseDisablesTheGate) {
-  ScopedNoVerify env(nullptr);
+TEST(Preflight, NoVerifyEnvDoesNotDisableTheGate) {
+  ScopedNoVerify env;
   const LyingWorkload workload(2048);
   CascadeSimulator sim(mini_machine(4));
-  sim.set_verify(false);
-  EXPECT_FALSE(sim.verify_enabled());
   CascadeOptions opt;
   opt.chunk_bytes = 2 * 1024;
   opt.helper = HelperKind::kRestructure;
   const CascadeResult result = sim.run_cascaded(workload, opt);
-  EXPECT_FALSE(result.preflight_demoted);
-}
-
-TEST(Preflight, EnvEscapeHatchDisablesTheGate) {
-  ScopedNoVerify env("1");
-  const LyingWorkload workload(2048);
-  CascadeSimulator sim(mini_machine(4));
-  EXPECT_FALSE(sim.verify_enabled());
-  CascadeOptions opt;
-  opt.chunk_bytes = 2 * 1024;
-  opt.helper = HelperKind::kRestructure;
-  const CascadeResult result = sim.run_cascaded(workload, opt);
-  EXPECT_FALSE(result.preflight_demoted);
-}
-
-TEST(Preflight, EnvZeroMeansVerificationStaysOn) {
-  ScopedNoVerify env("0");
-  CascadeSimulator sim(mini_machine(2));
-  EXPECT_TRUE(sim.verify_enabled());
+  EXPECT_TRUE(result.preflight_demoted);
+  EXPECT_FALSE(result.preflight_diags.empty());
 }
 
 TEST(HelperSelectorPreflight, NeverSelectsRestructureForUnsafeLoop) {
-  ScopedNoVerify env(nullptr);
   const LyingWorkload workload(4096);
   CascadeSimulator sim(mini_machine(4));
   CascadeOptions opt;

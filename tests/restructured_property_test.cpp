@@ -1,7 +1,7 @@
 // Randomized property tests for the restructured-loop hot path: whatever mix
-// of staged drains, look-ahead staging, jump-out fallbacks, and adaptive
-// chunk sizes a run ends up with, the observable results must be
-// bit-identical to the plain sequential loop `for i: consume(i, gather(i))`.
+// of staged drains and jump-out fallbacks a run ends up with, the observable
+// results must be bit-identical to the plain sequential loop
+// `for i: consume(i, gather(i))`.
 // The chaos variants add seeded helper faults (kill / stall / corrupt
 // staging) on top: the fail-soft runtime must absorb every schedule with the
 // same bit-identical outcome.
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "casc/rt/fault_injection.hpp"
@@ -71,24 +72,19 @@ void run_and_compare(CascadeExecutor& ex, RestructuredOptions options,
   EXPECT_EQ(got, want);
   const auto& stats = loop.last_run_stats();
   EXPECT_EQ(stats.chunks_staged + stats.chunks_fallback, stats.chunks);
-  // A degraded run may distrust (and fall back on) chunks it staged ahead,
-  // so the subset property only binds clean runs.
-  if (!stats.degraded) {
-    EXPECT_LE(stats.chunks_staged_ahead, stats.chunks_staged);
-  }
 }
 
-struct PropertyCase {
-  unsigned threads;
-  unsigned lookahead;
-};
+/// Names each grid point by its thread count (t1, t2, t4).
+std::string threads_name(const ::testing::TestParamInfo<unsigned>& info) {
+  return "t" + std::to_string(info.param);
+}
 
-class RestructuredProperty : public ::testing::TestWithParam<PropertyCase> {};
+class RestructuredProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RestructuredProperty, StagedAndFallbackPathsAreBitIdentical) {
-  const PropertyCase pc = GetParam();
-  CascadeExecutor ex(ExecutorConfig{pc.threads, false});
-  std::mt19937 rng(0xC45Cu + pc.threads * 131u + pc.lookahead);
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads});
+  std::mt19937 rng(0xC45Cu + threads * 131u);
   for (int trial = 0; trial < 8; ++trial) {
     // Sizes straddle the chunk boundary cases: sub-chunk, exact multiples,
     // ragged tails.
@@ -98,21 +94,14 @@ TEST_P(RestructuredProperty, StagedAndFallbackPathsAreBitIdentical) {
     RandomWorkload w(n, rng());
     RestructuredOptions options;
     options.iters_per_chunk = chunk(rng);
-    options.lookahead = pc.lookahead;
     run_and_compare(ex, options, w);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, RestructuredProperty,
-                         ::testing::Values(PropertyCase{1, 1}, PropertyCase{1, 4},
-                                           PropertyCase{2, 1}, PropertyCase{2, 2},
-                                           PropertyCase{4, 3}, PropertyCase{4, 8}),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param.threads) + "_la" +
-                                  std::to_string(info.param.lookahead);
-                         });
+INSTANTIATE_TEST_SUITE_P(Grid, RestructuredProperty, ::testing::Values(1u, 2u, 4u),
+                         threads_name);
 
-class RestructuredChaosProperty : public ::testing::TestWithParam<PropertyCase> {};
+class RestructuredChaosProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RestructuredChaosProperty, ChaosSchedulesStayBitIdentical) {
   // Seeded chaos over the same grid: helper throws, stalls, and
@@ -120,11 +109,11 @@ TEST_P(RestructuredChaosProperty, ChaosSchedulesStayBitIdentical) {
   // staging, reclaimed chunks re-resolve through gather(), and the final
   // bits must never change.  Instant retry keeps the faults coming until
   // quarantine, so every degradation path gets exercised.
-  const PropertyCase pc = GetParam();
-  casc::rt::ExecutorConfig cfg{pc.threads, false};
+  const unsigned threads = GetParam();
+  casc::rt::ExecutorConfig cfg{threads};
   cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
   CascadeExecutor ex(cfg);
-  std::mt19937 rng(0xFA17u + pc.threads * 131u + pc.lookahead);
+  std::mt19937 rng(0xFA17u + threads * 131u);
   for (int trial = 0; trial < 6; ++trial) {
     std::uniform_int_distribution<std::uint64_t> size(1, 5000);
     std::uniform_int_distribution<std::uint64_t> chunk(1, 512);
@@ -132,7 +121,6 @@ TEST_P(RestructuredChaosProperty, ChaosSchedulesStayBitIdentical) {
     RandomWorkload w(n, rng());
     RestructuredOptions options;
     options.iters_per_chunk = chunk(rng);
-    options.lookahead = pc.lookahead;
     const std::uint64_t chunks =
         (n + options.iters_per_chunk - 1) / options.iters_per_chunk;
     casc::rt::ChaosOptions chaos_opt;
@@ -146,24 +134,18 @@ TEST_P(RestructuredChaosProperty, ChaosSchedulesStayBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, RestructuredChaosProperty,
-                         ::testing::Values(PropertyCase{1, 1}, PropertyCase{2, 2},
-                                           PropertyCase{4, 3}, PropertyCase{4, 8}),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param.threads) + "_la" +
-                                  std::to_string(info.param.lookahead);
-                         });
+                         ::testing::Values(1u, 2u, 4u), threads_name);
 
 TEST(RestructuredChaos, DegradationShowsUpInStats) {
   // A guaranteed-fault schedule (rate 1.0) must leave tracks: the run
   // completes bit-identically AND reports itself degraded.
-  casc::rt::ExecutorConfig cfg{2, false};
+  casc::rt::ExecutorConfig cfg{2};
   cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
   CascadeExecutor ex(cfg);
   const std::uint64_t n = 4096;
   RandomWorkload w(n, 99);
   RestructuredOptions options;
   options.iters_per_chunk = 128;
-  options.lookahead = 2;
   casc::rt::ChaosOptions chaos_opt;
   chaos_opt.fault_rate = 1.0;
   chaos_opt.allow_stall = false;  // throws + corrupt-staging only: no waiting
@@ -192,62 +174,6 @@ TEST(RestructuredChaos, DegradationShowsUpInStats) {
     saw_degraded = stats.degraded && stats.helper_faults >= 1;
   }
   EXPECT_TRUE(saw_degraded);
-}
-
-TEST(RestructuredAutoChunk, AdaptsAcrossRunsAndStaysBitIdentical) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = 512;
-  options.auto_chunk = true;
-  options.min_chunk_iters = 64;
-  options.max_chunk_iters = 2048;
-  options.lookahead = 2;
-  RestructuredLoop<double> loop(ex, options);
-
-  const std::uint64_t n = 6000;
-  RandomWorkload w(n, 77);
-  std::vector<double> want(n);
-  const double want_acc = sequential_reference(w, want);
-
-  // The wave5 pattern: the same loop invoked repeatedly.  Every invocation
-  // must produce the reference bits no matter what chunk size the hill-climb
-  // picked for it.
-  for (int call = 0; call < 12; ++call) {
-    std::vector<double> got(n, 0.0);
-    double acc = 0.0;
-    loop.run(
-        n, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) {
-          acc = acc * 0.75 + v;
-          got[i] = acc;
-        });
-    ASSERT_EQ(acc, want_acc) << "call " << call;
-    ASSERT_EQ(got, want) << "call " << call;
-    const auto& stats = loop.last_run_stats();
-    ASSERT_GE(stats.iters_per_chunk, options.min_chunk_iters);
-    ASSERT_LE(stats.iters_per_chunk, options.max_chunk_iters);
-  }
-}
-
-TEST(RestructuredLookahead, ReportsChunksStagedAhead) {
-  // With a 1-thread cascade every helper runs strictly before its own
-  // execution phase and the token is always already available, so nothing is
-  // staged ahead; with lookahead > 1 and more chunks than workers the counter
-  // may grow but must never exceed chunks_staged.
-  CascadeExecutor ex(ExecutorConfig{2, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = 64;
-  options.lookahead = 4;
-  RestructuredLoop<std::uint64_t> loop(ex, options);
-  const std::uint64_t n = 64 * 32;
-  std::vector<std::uint64_t> got(n, 0);
-  loop.run(
-      n, [](std::uint64_t i) { return i * 7; },
-      [&](std::uint64_t i, std::uint64_t v) { got[i] = v; });
-  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], i * 7);
-  const auto& stats = loop.last_run_stats();
-  EXPECT_EQ(stats.chunks, 32u);
-  EXPECT_LE(stats.chunks_staged_ahead, stats.chunks_staged);
 }
 
 }  // namespace

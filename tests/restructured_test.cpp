@@ -34,7 +34,7 @@ TEST_P(RestructuredThreads, MatchesSequentialBitForBit) {
   std::vector<double> want(n), got(n);
   for (std::uint64_t i = 0; i < n; ++i) want[i] = w.a[w.ij[i]] * 2.0 + 1.0;
 
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   RestructuredLoop<double> loop(ex, 256);
   loop.run(
       n, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
@@ -53,7 +53,7 @@ TEST_P(RestructuredThreads, LoopCarriedConsumerStaysSequential) {
   double want_acc = 0;
   for (std::uint64_t i = 0; i < n; ++i) want_acc = want_acc * 0.5 + w.a[w.ij[i]];
 
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   RestructuredLoop<double> loop(ex, 128);
   double acc = 0;
   loop.run(
@@ -65,7 +65,7 @@ TEST_P(RestructuredThreads, LoopCarriedConsumerStaysSequential) {
 TEST_P(RestructuredThreads, ReusableAcrossRuns) {
   const std::uint64_t n = 1024;
   GatherWorkload w(n);
-  CascadeExecutor ex(ExecutorConfig{GetParam(), false});
+  CascadeExecutor ex(ExecutorConfig{GetParam()});
   RestructuredLoop<double> loop(ex, 128);
   for (int round = 0; round < 3; ++round) {
     double sum = 0;
@@ -82,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, RestructuredThreads,
                          ::testing::Values(1u, 2u, 4u));
 
 TEST(Restructured, ZeroIterationsIsANoop) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   RestructuredLoop<int> loop(ex, 16);
   int calls = 0;
   loop.run(
@@ -92,7 +92,7 @@ TEST(Restructured, ZeroIterationsIsANoop) {
 }
 
 TEST(Restructured, RaggedLastChunkHandled) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   RestructuredLoop<std::uint64_t> loop(ex, 64);
   const std::uint64_t n = 150;  // 2 full chunks + 22 iterations
   std::vector<std::uint64_t> got(n, 0);
@@ -104,12 +104,12 @@ TEST(Restructured, RaggedLastChunkHandled) {
 }
 
 TEST(Restructured, RejectsZeroChunk) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   EXPECT_THROW(RestructuredLoop<int>(ex, 0), CheckFailure);
 }
 
 TEST(Restructured, StagedFractionReported) {
-  CascadeExecutor ex(ExecutorConfig{4, false});
+  CascadeExecutor ex(ExecutorConfig{4});
   RestructuredLoop<int> loop(ex, 32);
   loop.run(
       32 * 8, [](std::uint64_t i) { return static_cast<int>(i); },

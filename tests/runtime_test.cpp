@@ -57,7 +57,7 @@ class ExecutorThreads : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ExecutorThreads, ProducesSequentialResult) {
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   const std::uint64_t n = 10000;
   std::vector<std::uint64_t> out(n, 0);
   // body: out[i] = i^2; any reordering or lost iteration corrupts the sum.
@@ -69,7 +69,7 @@ TEST_P(ExecutorThreads, LoopCarriedDependencePreserved) {
   // acc[i] = acc[i-1] + 1: only correct if iterations run in strict order
   // with cross-chunk visibility (the release/acquire pair on the token).
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   const std::uint64_t n = 5000;
   std::vector<std::uint64_t> acc(n + 1, 0);
   casc::rt::cascaded_for(ex, n, 64,
@@ -79,7 +79,7 @@ TEST_P(ExecutorThreads, LoopCarriedDependencePreserved) {
 
 TEST_P(ExecutorThreads, ExactlyOneExecutionPhaseAtATime) {
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   std::atomic<int> in_exec{0};
   std::atomic<bool> violated{false};
   ex.run(2000, 50, [&](std::uint64_t, std::uint64_t) {
@@ -93,7 +93,7 @@ TEST_P(ExecutorThreads, ExactlyOneExecutionPhaseAtATime) {
 
 TEST_P(ExecutorThreads, ChunksArriveInOrder) {
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   std::vector<std::uint64_t> begins;
   ex.run(1000, 64, [&](std::uint64_t b, std::uint64_t) { begins.push_back(b); });
   ASSERT_EQ(begins.size(), 16u);
@@ -105,7 +105,7 @@ TEST_P(ExecutorThreads, HelperPrecedesExecOnTheSameThread) {
   // token has already arrived) must run on the thread that later executes
   // the chunk, and strictly before its execution phase.
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   constexpr int kChunks = 12;
   std::atomic<std::uint64_t> clock{0};
   std::array<std::uint64_t, kChunks> helper_at{};
@@ -136,7 +136,7 @@ TEST_P(ExecutorThreads, HelperPrecedesExecOnTheSameThread) {
 
 TEST_P(ExecutorThreads, StatsAccountForEveryChunk) {
   const unsigned threads = GetParam();
-  CascadeExecutor ex(ExecutorConfig{threads, false});
+  CascadeExecutor ex(ExecutorConfig{threads});
   ex.run(
       1000, 64, [](std::uint64_t, std::uint64_t) {},
       [](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; });
@@ -156,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ExecutorThreads,
                          ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
 TEST(Executor, ZeroIterationsIsANoop) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   int calls = 0;
   ex.run(0, 10, [&](std::uint64_t, std::uint64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
@@ -164,13 +164,13 @@ TEST(Executor, ZeroIterationsIsANoop) {
 }
 
 TEST(Executor, RejectsMissingExecOrZeroChunk) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   EXPECT_THROW(ex.run(10, 0, [](std::uint64_t, std::uint64_t) {}), CheckFailure);
   EXPECT_THROW(ex.run(10, 5, casc::rt::ExecFn{}), CheckFailure);
 }
 
 TEST(Executor, ReusableAcrossRuns) {
-  CascadeExecutor ex(ExecutorConfig{3, false});
+  CascadeExecutor ex(ExecutorConfig{3});
   for (int round = 0; round < 5; ++round) {
     std::uint64_t sum = 0;
     casc::rt::cascaded_for(ex, 100, 7, [&](std::uint64_t i) { sum += i; });
@@ -179,7 +179,7 @@ TEST(Executor, ReusableAcrossRuns) {
 }
 
 TEST(Executor, SingleChunkDegeneratesToCallerOnly) {
-  CascadeExecutor ex(ExecutorConfig{4, false});
+  CascadeExecutor ex(ExecutorConfig{4});
   const auto caller = std::this_thread::get_id();
   std::thread::id exec_thread;
   ex.run(10, 100, [&](std::uint64_t, std::uint64_t) {
@@ -191,7 +191,7 @@ TEST(Executor, SingleChunkDegeneratesToCallerOnly) {
 TEST(Executor, SingleChunkRunHasNoHandOffs) {
   // total_iters < iters_per_chunk: one chunk, zero control transfers — the
   // cascade degenerates to a plain sequential loop on the caller.
-  CascadeExecutor ex(ExecutorConfig{4, false});
+  CascadeExecutor ex(ExecutorConfig{4});
   std::uint64_t covered = 0;
   ex.run(
       10, 100, [&](std::uint64_t b, std::uint64_t e) { covered = e - b; },
@@ -210,7 +210,7 @@ TEST(Executor, SingleThreadSkipsEveryHelper) {
   // With P == 1 the token is always already at the worker's next chunk when
   // the helper would start (the executor.cpp skip-when-signalled branch):
   // every helper must be counted as jumped out and never invoked.
-  CascadeExecutor ex(ExecutorConfig{1, false});
+  CascadeExecutor ex(ExecutorConfig{1});
   std::uint64_t helper_calls = 0;
   ex.run(
       640, 64, [](std::uint64_t, std::uint64_t) {},
@@ -227,7 +227,7 @@ TEST(Executor, SingleThreadSkipsEveryHelper) {
 }
 
 TEST(Executor, ZeroIterationsAfterFailedRunResetsStats) {
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   EXPECT_THROW(ex.run(100, 10,
                       [](std::uint64_t b, std::uint64_t) {
                         if (b == 30) throw std::runtime_error("boom");
@@ -290,7 +290,7 @@ TEST(Helpers, RestructuredCascadeMatchesSequential) {
   std::vector<double> want(n), got(n);
   for (std::uint64_t i = 0; i < n; ++i) want[i] = a[ij[i]] + 1.0;
 
-  CascadeExecutor ex(ExecutorConfig{4, false});
+  CascadeExecutor ex(ExecutorConfig{4});
   PerWorkerBuffers bufs(ex.num_threads(), chunk * sizeof(double), chunk);
   // Distinct chunks must occupy distinct bytes (distinct workers write their
   // own flags concurrently) — vector<bool> would pack them into shared words.

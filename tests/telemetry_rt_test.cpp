@@ -45,7 +45,7 @@ std::vector<Event> events_of_kind(const std::vector<Event>& events, EventKind ki
 TEST(TelemetryRt, SuccessfulRunRecordsFullTimeline) {
   const unsigned kThreads = 4;
   EventLog log(kThreads, 1024);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.event_log = &log;
   CascadeExecutor ex(config);
 
@@ -74,7 +74,7 @@ TEST(TelemetryRt, SuccessfulRunRecordsFullTimeline) {
 TEST(TelemetryRt, ExecPhasesNeverOverlapAcrossWorkers) {
   const unsigned kThreads = 4;
   EventLog log(kThreads, 1024);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.event_log = &log;
   CascadeExecutor ex(config);
 
@@ -136,7 +136,7 @@ TEST(TelemetryRt, ExecPhasesNeverOverlapAcrossWorkers) {
 TEST(TelemetryRt, ThrowingExecRecordsAbortEvent) {
   const unsigned kThreads = 2;
   EventLog log(kThreads, 256);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.event_log = &log;
   CascadeExecutor ex(config);
 
@@ -161,7 +161,7 @@ TEST(TelemetryRt, ThrowingExecRecordsAbortEvent) {
 TEST(TelemetryRt, WatchdogExpiryRecordsWatchdogEvent) {
   const unsigned kThreads = 4;
   EventLog log(kThreads, 256);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.watchdog = std::chrono::milliseconds(100);
   config.event_log = &log;
   CascadeExecutor ex(config);
@@ -177,7 +177,7 @@ TEST(TelemetryRt, WatchdogExpiryRecordsWatchdogEvent) {
 TEST(TelemetryRt, SnapshotRenderIncludesRecentEvents) {
   const unsigned kThreads = 2;
   EventLog log(kThreads, 256);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.event_log = &log;
   CascadeExecutor ex(config);
 
@@ -197,7 +197,7 @@ TEST(TelemetryRt, SnapshotRenderIncludesRecentEvents) {
 
 TEST(TelemetryRt, NoEventLogMeansNoEvents) {
   // The default config records nothing and must still run correctly.
-  CascadeExecutor ex(ExecutorConfig{2, false});
+  CascadeExecutor ex(ExecutorConfig{2});
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(kIters, kChunkIters, [&](std::uint64_t b, std::uint64_t e) {
     for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
@@ -209,7 +209,7 @@ TEST(TelemetryRt, NoEventLogMeansNoEvents) {
 TEST(TelemetryRt, EventLogReusableAcrossRuns) {
   const unsigned kThreads = 2;
   EventLog log(kThreads, 1024);
-  ExecutorConfig config{kThreads, false};
+  ExecutorConfig config{kThreads};
   config.event_log = &log;
   CascadeExecutor ex(config);
 

@@ -4,12 +4,13 @@
 The refactored dependency order is strictly one-directional:
 
     common -> {telemetry, sim, loopir} -> core -> trace -> analysis
-           -> {cascade (sim backend), runtime (rt backend)} -> exec -> svc
-           -> tools
+           -> cascade (sim backend)
+    common -> telemetry -> runtime (rt backend)
+    {analysis, runtime} -> exec -> svc -> tools
 
-The two backends share ONLY the core/analysis layers: src/cascade/ must not
-include casc/rt/ headers and src/runtime/ must not include casc/cascade/
-headers — the bridge between them is casc::exec.  Pipeline chains follow the
+The two backends share nothing above common/telemetry: src/cascade/ must not
+include casc/rt/ headers, and src/runtime/ must not include casc/core/ or
+anything above it — the bridge between them is casc::exec.  Pipeline chains follow the
 same order: loopir owns PipelineSpec, analysis owns the survival/placement
 plan (plan_pipeline), exec owns MaterializedPipeline and the arena runner,
 and svc/tools sit on top.  This script parses every
@@ -50,8 +51,11 @@ FORBIDDEN: dict[str, list[str]] = {
                    "casc/cascade/", "casc/rt/", "casc/exec/", "casc/svc/"],
     # The two backends: no cross-inclusion outside the shared core.
     "src/cascade/": ["casc/rt/", "casc/exec/", "casc/svc/"],
-    "src/runtime/": ["casc/cascade/", "casc/analysis/", "casc/trace/",
-                     "casc/loopir/", "casc/sim/", "casc/exec/", "casc/svc/"],
+    # The rt backend runs opaque lambdas: it needs only common and
+    # telemetry, not even the shared core (ChunkPlan lives above it).
+    "src/runtime/": ["casc/core/", "casc/cascade/", "casc/analysis/",
+                     "casc/trace/", "casc/loopir/", "casc/sim/", "casc/exec/",
+                     "casc/svc/"],
     "src/exec/": ["casc/cascade/", "casc/sim/", "casc/svc/"],
     # The service daemon sits on top of exec/runtime/telemetry; nothing in
     # src/ may depend back on it (tools/ are the only consumers).

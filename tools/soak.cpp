@@ -174,7 +174,6 @@ int run_soak(const cli::Args& args) {
   rt::ChaosPlan rec_plan;
   rt::RestructuredOptions rec_opt;
   rec_opt.iters_per_chunk = kItersPerChunk;
-  rec_opt.lookahead = 2;
   rec_opt.chaos = &rec_plan;
   rt::RestructuredLoop<double> rec_loop(executor, rec_opt);
   std::vector<double> got(rec.a.size());
