@@ -151,64 +151,6 @@ core::ChunkPlan plan_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes
                                               chunk_bytes);
 }
 
-rt::PreflightGate gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes) {
-  analysis::AnalyzeOptions opt;
-  opt.chunk_bytes = chunk_bytes;
-  const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
-  if (report.restructure_eligible) return rt::PreflightGate::proven();
-  common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
-                            "the analysis verifier could not prove the spec "
-                            "restructure-eligible"};
-  for (const common::Diagnostic& diag : report.diags.items()) {
-    if (diag.severity == common::Severity::kError) {
-      reason = diag;
-      break;
-    }
-  }
-  return rt::PreflightGate::refused(std::move(reason));
-}
-
-rt::PreflightGate gate_for(const MaterializedLoop& loop,
-                           std::uint64_t chunk_bytes, std::uint64_t workers,
-                           std::vector<std::string>* certified) {
-  analysis::AnalyzeOptions opt;
-  opt.chunk_bytes = chunk_bytes;
-  const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
-  if (report.restructure_eligible) return rt::PreflightGate::proven();
-
-  // The certifier can only overturn staging-claim failures: the claims said
-  // read-only, the resolved addresses may prove the staged bytes write-free
-  // anyway.  Anything else (layout overlap, footprint escape, parse errors)
-  // is outside the certificate's scope and keeps the refusal.
-  auto staging_rule = [](const std::string& rule) {
-    return rule == "classify-write-ro" || rule == "hazard-cross-chunk" ||
-           rule == "shadow-write-ro" || rule == "shadow-hazard-cross-chunk";
-  };
-  common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
-                            "the analysis verifier could not prove the spec "
-                            "restructure-eligible"};
-  bool have_reason = false;
-  bool only_staging = true;
-  for (const common::Diagnostic& diag : report.diags.items()) {
-    if (diag.severity != common::Severity::kError) continue;
-    if (!have_reason) {
-      reason = diag;
-      have_reason = true;
-    }
-    if (!staging_rule(diag.rule)) only_staging = false;
-  }
-  if (only_staging) {
-    analysis::CertifyOptions copt;
-    copt.chunk_bytes = chunk_bytes;
-    const analysis::Certificate cert = analysis::certify(loop.spec(), copt);
-    if (cert.certifies_staging(workers)) {
-      if (certified != nullptr) *certified = cert.certified_operands(workers);
-      return rt::PreflightGate::proven();
-    }
-  }
-  return rt::PreflightGate::refused(std::move(reason));
-}
-
 std::optional<ReductionOperand> find_reduction_operand(
     const loopir::LoopSpec& spec) {
   common::DiagnosticList diags;
@@ -222,8 +164,8 @@ std::optional<ReductionOperand> find_reduction_operand(
 namespace {
 
 /// Sequential interpretation against the arrays' CURRENT contents — the
-/// pipeline paths sequence resets at chain level, so the per-loop entry
-/// point's reset is split out.
+/// pipeline paths sequence resets and the checksum at chain level, so the
+/// per-loop entry point's reset and checksum are split out.
 ExecResult reference_no_reset(MaterializedLoop& loop) {
   ExecResult result;
   result.total_iters = loop.num_iterations();
@@ -232,7 +174,6 @@ ExecResult reference_no_reset(MaterializedLoop& loop) {
   result.digest = interpret_span(loop, 0, result.total_iters,
                                  MaterializedLoop::kAccSeed, nullptr);
   result.seconds = watch.elapsed_seconds();
-  result.rw_checksum = loop.rw_checksum();
   return result;
 }
 
@@ -240,7 +181,9 @@ ExecResult reference_no_reset(MaterializedLoop& loop) {
 
 ExecResult run_reference(MaterializedLoop& loop) {
   loop.reset();
-  return reference_no_reset(loop);
+  ExecResult result = reference_no_reset(loop);
+  result.rw_checksum = loop.rw_checksum();
+  return result;
 }
 
 namespace {
@@ -260,10 +203,10 @@ struct RegionState {
 };
 
 /// Runs one stage of a cascade on `executor` against the arrays' CURRENT
-/// contents (resets are sequenced by the entry points), staging through
-/// `region` (flat layout: staged reference p of the loop lives at
-/// region + 8p, so chunk geometry never shifts the bytes).  `gate` is the
-/// caller's restructure verdict for this stage.  With `reuse` the stage
+/// contents (resets and checksums are sequenced by the entry points),
+/// staging through `region` (flat layout: staged reference p of the loop
+/// lives at region + 8p, so chunk geometry never shifts the bytes).  `gate`
+/// is the caller's restructure verdict for this stage.  With `reuse` the stage
 /// gathers nothing and executes against the staged stream `rs` describes;
 /// otherwise it stages into the region itself and rewrites `rs` for its
 /// successors.  A single loop is a one-stage chain with a region of its own.
@@ -283,7 +226,6 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   result.num_chunks = std::max<std::uint64_t>(1, num_chunks);
   if (total == 0) {
     result.digest = MaterializedLoop::kAccSeed;
-    result.rw_checksum = loop.rw_checksum();
     return result;
   }
 
@@ -424,7 +366,6 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   result.staged_chunks = static_cast<std::uint64_t>(
       std::count(flags.begin(), flags.end(), char{1}));
   result.digest = acc;
-  result.rw_checksum = loop.rw_checksum();
 
   if (!reuse) {
     rs.chunk_staged = std::move(chunk_staged);
@@ -437,22 +378,25 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
 }
 
 /// One loop as a one-stage chain (arrays NOT reset): the body of run_cascaded
-/// and the per-stage engine of run_pipeline_independent.  The gate runs
+/// and the per-stage engine of run_pipeline_independent.  The proof comes
 /// before sizing the region: a certificate can re-enable staging the claim
-/// demotion turned off (restage grows the staged stream).
+/// demotion turned off, which grows the staged stream.
 ExecResult run_single(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                       const RtOptions& opt) {
-  rt::PreflightGate gate = rt::PreflightGate::proven();
-  common::AlignedStorage region;
-  if (opt.helper == HelperMode::kRestructure) {
-    std::vector<std::string> certified;
-    gate = gate_for(loop, opt.chunk_bytes, executor.num_threads(), &certified);
-    if (gate.allow_restructure() && !certified.empty()) loop.restage(certified);
-    region = common::AlignedStorage(
-        8 * std::max<std::uint64_t>(1, loop.staged_refs_total()));
-  }
   RegionState rs;
-  return run_stage(loop, executor, opt, gate, region.data(), rs, false);
+  if (opt.helper != HelperMode::kRestructure) {
+    return run_stage(loop, executor, opt, rt::PreflightGate::proven(), nullptr,
+                     rs, false);
+  }
+  double prove_s = 0.0;
+  const Proof& proof =
+      loop.proof(opt.chunk_bytes, executor.num_threads(), &prove_s);
+  common::AlignedStorage region(
+      8 * std::max<std::uint64_t>(1, loop.staged_refs_total()));
+  ExecResult result =
+      run_stage(loop, executor, opt, proof.gate, region.data(), rs, false);
+  result.prove_seconds = prove_s;
+  return result;
 }
 
 std::uint64_t fold_chain(std::uint64_t chain, std::uint64_t digest) {
@@ -464,7 +408,9 @@ std::uint64_t fold_chain(std::uint64_t chain, std::uint64_t digest) {
 ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                         const RtOptions& opt) {
   loop.reset();
-  return run_single(loop, executor, opt);
+  ExecResult result = run_single(loop, executor, opt);
+  result.rw_checksum = loop.rw_checksum();
+  return result;
 }
 
 // ---- pipelines -------------------------------------------------------------
@@ -500,19 +446,29 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     if (sp.region_of == k) rs = RegionState{};  // entering a fresh region
     const bool reuse = opt.helper == HelperMode::kRestructure &&
                        pipe.reuses_previous(k) && rs.trustworthy;
-    // Stage specs carry derived (hence honest) read-only claims, so the
-    // strict verifier is the whole story here: no demotions exist for the
-    // certificate to overturn, and the staged stream always matches the
-    // plan's signature — which is what sized the region.
+    MaterializedLoop& loop = pipe.stage(k);
+    // A stage that stages into its own region consumes its cached proof.
+    // Stage specs carry derived (hence honest) read-only claims, so no
+    // demotion exists for a certificate to overturn: the proof certifies
+    // nothing extra and the staged stream keeps the plan's signature, which
+    // is what sized the region (pipeline_test pins both on every
+    // committed pipeline; the check turns a violation into an error rather
+    // than an arena overrun).
     rt::PreflightGate gate = rt::PreflightGate::proven();
+    double prove_s = 0.0;
     if (opt.helper == HelperMode::kRestructure && !reuse &&
         pipe.region(k) != nullptr) {
-      gate = gate_for(pipe.stage(k), opt.chunk_bytes);
+      gate = loop.proof(opt.chunk_bytes, executor.num_threads(), &prove_s).gate;
+      CASC_CHECK(8 * loop.staged_refs_total() <= sp.region_bytes,
+                 "stage '" + pipe.spec().stages[k].name +
+                     "' stages more than its planned arena region");
     }
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
-    stage.result = run_stage(pipe.stage(k), executor, opt, gate, pipe.region(k),
-                             rs, reuse);
+    stage.result =
+        run_stage(loop, executor, opt, gate, pipe.region(k), rs, reuse);
+    stage.result.prove_seconds = prove_s;
+    out.prove_seconds += prove_s;
     stage.reused_staging = reuse;
     if (reuse) ++out.stages_reused;
     chain = fold_chain(chain, stage.result.digest);
@@ -540,6 +496,7 @@ PipelineResult run_pipeline_independent(MaterializedPipeline& pipe,
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
     stage.result = run_single(pipe.stage(k), executor, opt);
+    out.prove_seconds += stage.result.prove_seconds;
     chain = fold_chain(chain, stage.result.digest);
     out.stages.push_back(std::move(stage));
   }

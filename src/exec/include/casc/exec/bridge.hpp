@@ -8,7 +8,12 @@
 // casc::analysis (the verifier pipeline over the spec's original claims):
 // the runtime itself stays analysis-free, exactly as its PreflightGate
 // contract prescribes, and a spec with unsound claims degrades to prefetch
-// with the refusal recorded in the result.
+// with the refusal recorded in the result.  The gate is the loop's cached
+// Proof (materialize.hpp, which also declares the uncached exec::gate_for):
+// every restructure entry point — run_cascaded, both pipeline paths, and so
+// every svc job — asks the MaterializedLoop for it under (chunk_bytes,
+// executor width), so only the first run of a key pays for the analysis;
+// prefetch and none-mode runs never prove.
 //
 // Helper phases on real hardware:
 //   * prefetch:    force_load every operand line of the coming chunk,
@@ -65,6 +70,9 @@ struct ExecResult {
   std::uint64_t digest = 0;       ///< final interpreter accumulator
   std::uint64_t rw_checksum = 0;  ///< FNV over writable array contents
   double seconds = 0.0;           ///< wall time of the loop itself
+  /// Wall time spent computing the restructure proof inside this call: 0 on
+  /// a cached proof and on prefetch/none runs.  Not part of `seconds`.
+  double prove_seconds = 0.0;
   std::uint64_t total_iters = 0;
   std::uint64_t num_chunks = 1;
   std::uint64_t iters_per_chunk = 0;
@@ -89,25 +97,6 @@ struct ExecResult {
 [[nodiscard]] core::ChunkPlan plan_for(const MaterializedLoop& loop,
                                        std::uint64_t chunk_bytes);
 
-/// Restructure-safety gate for `loop`, derived from the analysis verifier
-/// over the spec's ORIGINAL claims (a demoted claim refuses the gate even
-/// though the sanitized nest no longer stages the offending operand).
-[[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
-                                         std::uint64_t chunk_bytes);
-
-/// Certificate-aware gate for a ring of `workers`.  When the strict verifier
-/// refuses and every error is a staging-claim failure, the race certifier
-/// gets the final word: a certificate proving the staged bytes write-free
-/// (or token-ordered at this worker count) flips the gate to proven, and
-/// `certified` (when non-null) receives the operand names whose staging the
-/// certificate re-enables — feed them to MaterializedLoop::restage so the
-/// helper stages what the demotion turned off.  Non-staging errors (layout,
-/// footprint, parse) always refuse.
-[[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
-                                         std::uint64_t chunk_bytes,
-                                         std::uint64_t workers,
-                                         std::vector<std::string>* certified);
-
 /// A commutative-reduction operand as the analysis classifier reports it.
 struct ReductionOperand {
   std::string name;       ///< operand (array) name
@@ -128,6 +117,8 @@ struct ReductionOperand {
 ExecResult run_reference(MaterializedLoop& loop);
 
 /// Cascaded execution on the real threaded runtime (arrays reset first).
+/// A restructure run consumes the loop's proof for (opt.chunk_bytes,
+/// executor.num_threads()), computing it on the first such run.
 ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                         const RtOptions& opt = {});
 
@@ -139,6 +130,8 @@ struct PipelineStageResult {
   /// The stage executed against its predecessor's staged stream instead of
   /// re-gathering (plan-proven AND the predecessor's staging ran clean).
   bool reused_staging = false;
+  /// The stage's run.  Its rw_checksum stays 0: stages write the pipeline's
+  /// shared arrays, which PipelineResult::rw_checksum covers once per chain.
   ExecResult result;
 };
 
@@ -149,7 +142,8 @@ struct PipelineStageResult {
 struct PipelineResult {
   std::uint64_t chain_digest = 0;
   std::uint64_t rw_checksum = 0;
-  double seconds = 0.0;  ///< whole-chain wall time
+  double seconds = 0.0;  ///< whole-chain wall time (proving included)
+  double prove_seconds = 0.0;  ///< Σ stage prove_seconds
   std::uint64_t stages_reused = 0;
   std::vector<PipelineStageResult> stages;
 

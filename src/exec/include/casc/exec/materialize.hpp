@@ -21,17 +21,24 @@
 // every prior reference, so any reordering or stale staged value changes the
 // final digest — bit-identity across backends is a real check, not a
 // coincidence.
+//
+// The restructure proof (Proof) is a property of the materialized loop, not
+// of a run: the first restructure run under a (chunk_bytes, workers) key
+// computes it and applies its staged set, and every later run with that key
+// reuses it.  The spec text is fixed per instance, so the key is complete.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "casc/common/aligned_alloc.hpp"
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/loopir/loop_spec.hpp"
+#include "casc/rt/preflight.hpp"
 
 namespace casc::exec {
 
@@ -45,6 +52,9 @@ struct ResolvedRef {
   /// Read of a proven-read-only operand (including index loads): the
   /// restructuring helper may stage its value ahead of execution.
   bool staged = false;
+  /// `staged` as the sanitized claims alone set it; a proof's staged set is
+  /// this plus the operands its certificate re-enabled.
+  bool claim_staged = false;
 };
 
 /// Operand class of one reference slot of a uniform loop body, in body order.
@@ -58,13 +68,23 @@ enum class SlotKind : std::uint8_t {
 /// stream.  When `uniform` every iteration issues the same slot sequence, so
 /// the interpreter can dispatch ONCE per span to a kernel fused for that
 /// sequence instead of re-branching on every ResolvedRef (bridge.cpp).  The
-/// classification is re-derived whenever staging flags change (restage()).
+/// classification is re-derived whenever a proof changes the staging flags.
 struct BodyShape {
   bool uniform = false;             ///< every iteration has the same slots
   std::vector<SlotKind> slots;      ///< the per-iteration sequence (if uniform)
   std::uint32_t staged_reads = 0;   ///< slot counts by kind (if uniform)
   std::uint32_t plain_reads = 0;
   std::uint32_t writes = 0;
+};
+
+/// The restructure proof of a loop for one ring geometry: the gate verdict
+/// (a refusal carries the verifier's Diagnostic as its reason) and the
+/// operands whose staging a race certificate re-enabled (empty unless the
+/// certificate overturned a strict refusal).  Nothing else of the analysis —
+/// no report, certificate or trace — is kept.
+struct Proof {
+  rt::PreflightGate gate;
+  std::vector<std::string> certified;
 };
 
 /// Resolves an array name to externally owned backing storage of (at least)
@@ -107,13 +127,14 @@ class MaterializedLoop {
   /// pipeline) decides when the chain's state restarts.
   void reset();
 
-  /// Re-enables staging for the named arrays: every non-write reference of
-  /// each is marked staged and the prefix sums rebuilt.  The preflight gate
-  /// calls this for operands whose read-only claim the sanitizer demoted but
-  /// whose staged bytes the race certifier proved write-free (or token-
-  /// ordered on the run's ring) — the certificate, not the claim, is the
-  /// safety argument.  Names not present in the nest are ignored.
-  void restage(const std::vector<std::string>& certified);
+  /// The restructure proof for a ring of `workers` at `chunk_bytes`.
+  /// Computed on the first call with that key and cached; a call with a
+  /// different key re-proves and replaces the cached proof.  Computing a
+  /// proof applies its staged set (see restage()), so the staged stream and
+  /// body shape always belong to the cached key.  `seconds`, when non-null,
+  /// receives the wall time spent proving in this call: 0 on a cache hit.
+  const Proof& proof(std::uint64_t chunk_bytes, std::uint64_t workers,
+                     double* seconds = nullptr);
 
   /// FNV-1a over the bytes of every writable (non-read-only) array — the
   /// loop's observable output state.
@@ -194,9 +215,17 @@ class MaterializedLoop {
   using ArrayBytes = std::vector<std::byte, common::AlignedAllocator<std::byte>>;
 
   void resolve_stream();
+  /// Sets the staged set to exactly the sanitized claims' staged references
+  /// plus every read of the `certified` arrays — operands whose read-only
+  /// claim the sanitizer demoted but whose staged bytes the race certifier
+  /// proved write-free (or token-ordered on the proof's ring); the
+  /// certificate, not the claim, is the safety argument.  Rebuilds the
+  /// derived stream only when a flag changed.  Names not present in the
+  /// nest are ignored.
+  void restage(const std::vector<std::string>& certified);
   /// Rebuilds everything derived from the staged flags: the per-iteration
   /// prefix sums, the SoA staged stream, and the body shape.  Called after
-  /// resolve_stream() and after every restage().
+  /// resolve_stream() and whenever restage() changes a flag.
   void rebuild_staged_stream();
 
   loopir::LoopSpec spec_;
@@ -213,6 +242,24 @@ class MaterializedLoop {
   std::vector<std::uint32_t> staged_arrays_;
   std::vector<std::uint8_t> staged_sizes_;
   BodyShape shape_;
+  std::optional<Proof> proof_;        // cached proof and its key
+  std::uint64_t proof_chunk_bytes_ = 0;
+  std::uint64_t proof_workers_ = 0;
 };
+
+/// The restructure gate of `loop` for a ring of `workers` at `chunk_bytes`,
+/// computed afresh: the computation behind MaterializedLoop::proof(), which
+/// it neither reads nor fills.  The analysis verifier judges the spec's
+/// ORIGINAL claims (a demoted claim refuses even though the sanitized nest
+/// no longer stages the offending operand).  When it refuses and every
+/// error is a staging-claim failure, the race certifier gets the final
+/// word: a certificate proving the staged bytes write-free (or token-ordered
+/// at this worker count) flips the gate to proven, and `certified` (when
+/// non-null) receives the operands it re-enables; otherwise `certified` is
+/// cleared.  Non-staging errors (layout, footprint, parse) always refuse.
+[[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
+                                         std::uint64_t chunk_bytes,
+                                         std::uint64_t workers,
+                                         std::vector<std::string>* certified);
 
 }  // namespace casc::exec

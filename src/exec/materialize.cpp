@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include "casc/analysis/shadow.hpp"
+#include "casc/analysis/verifier.hpp"
 #include "casc/common/check.hpp"
 #include "casc/common/rng.hpp"
+#include "casc/common/stopwatch.hpp"
 
 namespace casc::exec {
 
@@ -73,22 +75,38 @@ void MaterializedLoop::reset() {
   }
 }
 
+const Proof& MaterializedLoop::proof(std::uint64_t chunk_bytes,
+                                    std::uint64_t workers, double* seconds) {
+  if (seconds != nullptr) *seconds = 0.0;
+  if (proof_ && proof_chunk_bytes_ == chunk_bytes && proof_workers_ == workers) {
+    return *proof_;
+  }
+  common::Stopwatch watch;
+  std::vector<std::string> certified;
+  rt::PreflightGate gate = gate_for(*this, chunk_bytes, workers, &certified);
+  restage(certified);
+  proof_ = Proof{std::move(gate), std::move(certified)};
+  proof_chunk_bytes_ = chunk_bytes;
+  proof_workers_ = workers;
+  if (seconds != nullptr) *seconds = watch.elapsed_seconds();
+  return *proof_;
+}
+
 void MaterializedLoop::restage(const std::vector<std::string>& certified) {
   std::vector<bool> wanted(nest_.num_arrays(), false);
-  bool any = false;
   for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
     for (const std::string& name : certified) {
-      if (nest_.array(id).name == name) {
-        wanted[id] = true;
-        any = true;
-      }
+      if (nest_.array(id).name == name) wanted[id] = true;
     }
   }
-  if (!any) return;
+  bool changed = false;
   for (ResolvedRef& ref : refs_) {
-    if (!ref.is_write && wanted[ref.array]) ref.staged = true;
+    const bool staged =
+        ref.claim_staged || (!ref.is_write && wanted[ref.array]);
+    changed = changed || staged != ref.staged;
+    ref.staged = staged;
   }
-  rebuild_staged_stream();
+  if (changed) rebuild_staged_stream();
 }
 
 void MaterializedLoop::resolve_stream() {
@@ -134,8 +152,9 @@ void MaterializedLoop::resolve_stream() {
       resolved.array = region.id;
       resolved.size = static_cast<std::uint8_t>(ref.mem.size);
       resolved.is_write = ref.mem.type == sim::AccessType::kWrite;
-      resolved.staged = !resolved.is_write &&
-                        (ref.read_only_operand || ref.is_index_load);
+      resolved.claim_staged = !resolved.is_write &&
+                              (ref.read_only_operand || ref.is_index_load);
+      resolved.staged = resolved.claim_staged;
       CASC_CHECK(resolved.offset + resolved.size <= region.size,
                  "reference straddles an array extent");
       refs_.push_back(resolved);
@@ -216,6 +235,48 @@ std::uint64_t MaterializedLoop::rw_checksum() const {
     }
   }
   return hash;
+}
+
+rt::PreflightGate gate_for(const MaterializedLoop& loop,
+                           std::uint64_t chunk_bytes, std::uint64_t workers,
+                           std::vector<std::string>* certified) {
+  if (certified != nullptr) certified->clear();
+  analysis::AnalyzeOptions opt;
+  opt.chunk_bytes = chunk_bytes;
+  const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
+  if (report.restructure_eligible) return rt::PreflightGate::proven();
+
+  // The certifier can only overturn staging-claim failures: the claims said
+  // read-only, the resolved addresses may prove the staged bytes write-free
+  // anyway.  Anything else (layout overlap, footprint escape, parse errors)
+  // is outside the certificate's scope and keeps the refusal.
+  auto staging_rule = [](const std::string& rule) {
+    return rule == "classify-write-ro" || rule == "hazard-cross-chunk" ||
+           rule == "shadow-write-ro" || rule == "shadow-hazard-cross-chunk";
+  };
+  common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
+                            "the analysis verifier could not prove the spec "
+                            "restructure-eligible"};
+  bool have_reason = false;
+  bool only_staging = true;
+  for (const common::Diagnostic& diag : report.diags.items()) {
+    if (diag.severity != common::Severity::kError) continue;
+    if (!have_reason) {
+      reason = diag;
+      have_reason = true;
+    }
+    if (!staging_rule(diag.rule)) only_staging = false;
+  }
+  if (only_staging) {
+    analysis::CertifyOptions copt;
+    copt.chunk_bytes = chunk_bytes;
+    const analysis::Certificate cert = analysis::certify(loop.spec(), copt);
+    if (cert.certifies_staging(workers)) {
+      if (certified != nullptr) *certified = cert.certified_operands(workers);
+      return rt::PreflightGate::proven();
+    }
+  }
+  return rt::PreflightGate::refused(std::move(reason));
 }
 
 }  // namespace casc::exec

@@ -43,8 +43,6 @@ class PreflightGate {
 
   /// True when the helper may stage values, i.e. the gate is proven.
   [[nodiscard]] bool allow_restructure() const noexcept { return proven_; }
-
-  [[nodiscard]] bool is_proven() const noexcept { return proven_; }
   [[nodiscard]] const common::Diagnostic& reason() const noexcept { return reason_; }
 
  private:

@@ -4,22 +4,30 @@
 // geometries — compared against plain sequential interpretation.  Also pins
 // the chunk-plan parity contract: sim and rt derive their chunk geometry
 // from the same core::ChunkPlan call, so identical options yield identical
-// plans.
+// plans.  And pins the cached restructure proof: a repeat run with the same
+// (chunk_bytes, workers) key does not re-prove, a changed key does, and the
+// cached proof equals a fresh gate_for on every committed spec.
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "casc/analysis/verifier.hpp"
 #include "casc/cascade/engine.hpp"
+#include "casc/common/diagnostic.hpp"
 #include "casc/core/chunk.hpp"
 #include "casc/exec/bridge.hpp"
 #include "casc/exec/materialize.hpp"
 #include "casc/loopir/loop_spec.hpp"
+#include "casc/loopir/pipeline_spec.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
 
@@ -27,13 +35,17 @@ namespace {
 
 using namespace casc;
 
-loopir::LoopSpec load_spec(const std::string& file) {
-  const std::string path = std::string(CASC_TEST_SPEC_DIR) + "/" + file;
+std::string read_text(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::stringstream buffer;
   buffer << in.rdbuf();
-  return loopir::LoopSpec::parse(buffer.str());
+  return buffer.str();
+}
+
+loopir::LoopSpec load_spec(const std::string& file) {
+  return loopir::LoopSpec::parse(
+      read_text(std::string(CASC_TEST_SPEC_DIR) + "/" + file));
 }
 
 const std::vector<std::string> kSpecs = {
@@ -94,7 +106,7 @@ TEST(ExecBridge, NonDefaultChunkGeometryStillMatches) {
 TEST(ExecBridge, SafeSpecStagesAndRunsGated) {
   exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
   EXPECT_TRUE(loop.demoted_claims().empty());
-  EXPECT_TRUE(exec::gate_for(loop, 64 * 1024).is_proven());
+  EXPECT_TRUE(exec::gate_for(loop, 64 * 1024, 2, nullptr).allow_restructure());
   rt::ExecutorConfig cfg;
   cfg.num_threads = 2;
   rt::CascadeExecutor executor(cfg);
@@ -113,11 +125,12 @@ TEST(ExecBridge, CertifiedDisjointGatherStagesDespiteFalseClaim) {
   // bit-identical results.
   exec::MaterializedLoop loop(load_spec("gather_split.casc"));
   EXPECT_EQ(loop.demoted_claims(), std::vector<std::string>{"t"});
-  // The strict gate (claims only) refuses...
-  EXPECT_FALSE(exec::gate_for(loop, 64 * 1024).is_proven());
+  // The strict verifier (claims only) refuses...
+  EXPECT_FALSE(analysis::analyze(loop.spec()).restructure_eligible);
   // ...but the certificate-aware gate proves it for any ring.
   std::vector<std::string> certified;
-  EXPECT_TRUE(exec::gate_for(loop, 64 * 1024, 4, &certified).is_proven());
+  EXPECT_TRUE(
+      exec::gate_for(loop, 64 * 1024, 4, &certified).allow_restructure());
   EXPECT_NE(std::find(certified.begin(), certified.end(), "t"),
             certified.end());
 
@@ -161,7 +174,7 @@ TEST(ExecBridge, UnsafeSpecRefusesRestructureButStaysCorrect) {
   EXPECT_EQ(loop.demoted_claims(), std::vector<std::string>{"y"});
   // ...and refuses the restructure gate (the verifier judges the ORIGINAL
   // claims, not the sanitized nest).
-  EXPECT_FALSE(exec::gate_for(loop, 64 * 1024).is_proven());
+  EXPECT_FALSE(exec::gate_for(loop, 64 * 1024, 2, nullptr).allow_restructure());
 
   const exec::ExecResult ref = exec::run_reference(loop);
   rt::ExecutorConfig cfg;
@@ -273,5 +286,170 @@ TEST(ExecBridgeChaos, SoftBudgetDemotionKeepsResultsIdentical) {
   executor.set_soft_budget(std::chrono::milliseconds(0),
                            std::chrono::milliseconds(0));
 }
+
+// ---- the cached restructure proof -------------------------------------------
+
+exec::RtOptions restructure(std::uint64_t chunk_bytes = 64 * 1024) {
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  opt.chunk_bytes = chunk_bytes;
+  return opt;
+}
+
+TEST(ExecBridgeProof, SameKeyRunDoesNotReprove) {
+  exec::MaterializedLoop loop(load_spec("gather_split.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+
+  const exec::ExecResult first = exec::run_cascaded(loop, executor, restructure());
+  EXPECT_GT(first.prove_seconds, 0.0);
+  const exec::ExecResult second = exec::run_cascaded(loop, executor, restructure());
+  EXPECT_EQ(second.prove_seconds, 0.0);
+  for (const exec::ExecResult* r : {&first, &second}) {
+    EXPECT_FALSE(r->preflight_refused);
+    EXPECT_GT(r->staged_chunks, 0u);
+    EXPECT_EQ(r->digest, ref.digest);
+    EXPECT_EQ(r->rw_checksum, ref.rw_checksum);
+  }
+
+  // Prefetch and none-mode runs never prove, and leave the cached key alone.
+  for (const exec::HelperMode mode :
+       {exec::HelperMode::kNone, exec::HelperMode::kPrefetch}) {
+    exec::RtOptions opt;
+    opt.helper = mode;
+    const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+    EXPECT_EQ(got.prove_seconds, 0.0) << static_cast<int>(mode);
+    EXPECT_EQ(got.digest, ref.digest) << static_cast<int>(mode);
+  }
+  EXPECT_EQ(exec::run_cascaded(loop, executor, restructure()).prove_seconds, 0.0);
+}
+
+TEST(ExecBridgeProof, ChangedChunkBytesOrWorkerCountReproves) {
+  exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg2;
+  cfg2.num_threads = 2;
+  rt::CascadeExecutor two(cfg2);
+  rt::ExecutorConfig cfg4;
+  cfg4.num_threads = 4;
+  rt::CascadeExecutor four(cfg4);
+
+  struct Step {
+    rt::CascadeExecutor* executor;
+    std::uint64_t chunk_bytes;
+    bool reproves;
+  };
+  const Step steps[] = {
+      {&two, 64 * 1024, true},   // first run of the key
+      {&two, 64 * 1024, false},  // same key
+      {&two, 4 * 1024, true},    // chunk_bytes changed
+      {&four, 4 * 1024, true},   // worker count changed
+      {&four, 4 * 1024, false},  // same key again
+      {&two, 64 * 1024, true},   // the cache holds one key: back to the first
+  };
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    const exec::ExecResult got =
+        exec::run_cascaded(loop, *step.executor, restructure(step.chunk_bytes));
+    if (step.reproves) {
+      EXPECT_GT(got.prove_seconds, 0.0) << "step " << i;
+    } else {
+      EXPECT_EQ(got.prove_seconds, 0.0) << "step " << i;
+    }
+    EXPECT_FALSE(got.preflight_refused) << "step " << i;
+    EXPECT_EQ(got.digest, ref.digest) << "step " << i;
+    EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << "step " << i;
+  }
+}
+
+TEST(ExecBridgeProof, RefusedProofStaysRefusedOnTheCachedPath) {
+  exec::MaterializedLoop loop(load_spec("unsafe_seeded.casc"));
+  const rt::PreflightGate fresh = exec::gate_for(loop, 64 * 1024, 2, nullptr);
+  ASSERT_FALSE(fresh.allow_restructure());
+
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  const exec::ExecResult first = exec::run_cascaded(loop, executor, restructure());
+  const exec::ExecResult second = exec::run_cascaded(loop, executor, restructure());
+  EXPECT_GT(first.prove_seconds, 0.0);
+  EXPECT_EQ(second.prove_seconds, 0.0);
+  for (const exec::ExecResult* r : {&first, &second}) {
+    EXPECT_TRUE(r->preflight_refused);
+    EXPECT_EQ(r->staged_chunks, 0u);
+    EXPECT_EQ(r->digest, ref.digest);
+    EXPECT_EQ(r->rw_checksum, ref.rw_checksum);
+  }
+  EXPECT_EQ(second.preflight_diag, first.preflight_diag);
+
+  double seconds = -1.0;
+  const exec::Proof& cached = loop.proof(64 * 1024, 2, &seconds);
+  EXPECT_EQ(seconds, 0.0);
+  EXPECT_FALSE(cached.gate.allow_restructure());
+  EXPECT_TRUE(cached.certified.empty());
+  EXPECT_EQ(cached.gate.reason().rule, fresh.reason().rule);
+  EXPECT_EQ(cached.gate.reason().message, fresh.reason().message);
+  EXPECT_EQ(common::render_text(cached.gate.reason()),
+            common::render_text(fresh.reason()));
+}
+
+/// Every single-loop spec committed under tests/specs and examples/specs, as
+/// paths relative to the source tree.
+std::vector<std::string> committed_loop_specs() {
+  const std::filesystem::path root(CASC_SOURCE_DIR);
+  std::vector<std::string> paths;
+  for (const char* dir : {"tests/specs", "examples/specs"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      if (entry.path().extension() != ".casc") continue;
+      if (loopir::is_pipeline_text(read_text(entry.path().string()))) continue;
+      paths.push_back(std::filesystem::relative(entry.path(), root).string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+class ExecBridgeProofParity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ExecBridgeProofParity, CachedProofEqualsAFreshGate) {
+  exec::MaterializedLoop loop(loopir::LoopSpec::parse(
+      read_text(std::string(CASC_SOURCE_DIR) + "/" + GetParam())));
+  for (const std::uint64_t workers : {1u, 2u, 4u}) {
+    for (const std::uint64_t chunk_bytes : {4u * 1024, 64u * 1024}) {
+      double seconds = -1.0;
+      (void)loop.proof(chunk_bytes, workers, &seconds);
+      EXPECT_GT(seconds, 0.0);
+      const exec::Proof& cached = loop.proof(chunk_bytes, workers, &seconds);
+      EXPECT_EQ(seconds, 0.0);
+
+      std::vector<std::string> certified{"not-an-operand"};
+      const rt::PreflightGate fresh =
+          exec::gate_for(loop, chunk_bytes, workers, &certified);
+      const std::string key = " workers=" + std::to_string(workers) +
+                              " chunk_bytes=" + std::to_string(chunk_bytes);
+      EXPECT_EQ(cached.gate.allow_restructure(), fresh.allow_restructure())
+          << key;
+      EXPECT_EQ(cached.certified, certified) << key;
+      EXPECT_EQ(cached.gate.reason().severity, fresh.reason().severity) << key;
+      EXPECT_EQ(common::render_text(cached.gate.reason()),
+                common::render_text(fresh.reason()))
+          << key;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, ExecBridgeProofParity, ::testing::ValuesIn(committed_loop_specs()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      const std::filesystem::path path(info.param);
+      std::string name = path.begin()->string() + "_" + path.stem().string();
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 }  // namespace

@@ -1,8 +1,14 @@
 // LoopPool contract: leases are exclusive, reuse is keyed by spec text,
 // reused instances are indistinguishable from fresh ones (run_* entry points
-// reset arrays), and the idle caps bound retained memory.
+// reset arrays; a re-leased loop keeps its cached proof, and re-proving
+// under another key restores exactly that key's staged set), and the idle
+// caps bound retained memory.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +19,7 @@
 #include "casc/exec/loop_pool.hpp"
 #include "casc/loopir/loop_spec.hpp"
 #include "casc/loopir/pipeline_spec.hpp"
+#include "casc/rt/executor.hpp"
 
 namespace {
 
@@ -149,6 +156,163 @@ endloop
   const exec::LoopPoolStats stats = pool.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+}
+
+// ---- pooled loops keep their proof -------------------------------------------
+
+exec::RtOptions restructure(std::uint64_t chunk_bytes) {
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  opt.chunk_bytes = chunk_bytes;
+  return opt;
+}
+
+TEST(LoopPool, ReleasedLoopKeepsItsProof) {
+  exec::LoopPool pool;
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  std::uint64_t digest = 0;
+  {
+    exec::LoopLease lease = pool.acquire(spec(), kSpec);
+    const exec::ExecResult got =
+        exec::run_cascaded(lease.loop(), executor, restructure(64 * 1024));
+    EXPECT_GT(got.prove_seconds, 0.0);
+    digest = got.digest;
+  }
+  exec::LoopLease lease = pool.acquire(spec(), kSpec);
+  ASSERT_TRUE(lease.reused());
+  const exec::ExecResult got =
+      exec::run_cascaded(lease.loop(), executor, restructure(64 * 1024));
+  EXPECT_EQ(got.prove_seconds, 0.0);
+  EXPECT_EQ(got.digest, digest);
+  EXPECT_EQ(got.digest, exec::run_reference(lease.loop()).digest);
+}
+
+TEST(LoopPool, ReleasedPipelineKeepsItsStageProofs) {
+  const std::string text = std::string(R"(pipeline proof_chain
+array y 8 4096 rw
+array a 8 4096 ro
+loop one
+trip 4096
+compute 2 1
+access a read
+access y write
+endloop
+)");
+  const loopir::PipelineSpec pspec = loopir::PipelineSpec::parse(text);
+  exec::LoopPool pool;
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  {
+    exec::PipelineLease lease = pool.acquire_pipeline(pspec, text);
+    const exec::PipelineResult got =
+        exec::run_pipeline_cascaded(lease.pipeline(), executor, restructure(4096));
+    EXPECT_GT(got.prove_seconds, 0.0);
+  }
+  exec::PipelineLease lease = pool.acquire_pipeline(pspec, text);
+  ASSERT_TRUE(lease.reused());
+  const exec::PipelineResult got =
+      exec::run_pipeline_cascaded(lease.pipeline(), executor, restructure(4096));
+  EXPECT_EQ(got.prove_seconds, 0.0);
+  EXPECT_EQ(got.chain_digest,
+            exec::run_pipeline_reference(lease.pipeline()).chain_digest);
+}
+
+// 't' is claimed read-only but written 8192 iterations ahead of its reads: a
+// flow distance the race certifier turns into a ring bound.  At 4 KB chunks
+// (256 iterations) that is 32 chunks, so rings of up to 32 workers may stage
+// 't'; at 64 KB (4096 iterations) it is 2 chunks, so a 4-worker ring may not
+// and the proof refuses.
+constexpr const char* kFlowWindow = R"(loop flow_window
+trip 32768
+compute 2 1
+array t 8 40960 ro
+access t read
+access t write offset 8192
+)";
+
+std::string gather_split_text() {
+  std::ifstream in(std::string(CASC_TEST_SPEC_DIR) + "/gather_split.casc");
+  EXPECT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Same staged stream (SoA entries and per-iteration prefix sums) and same
+/// body shape.
+void expect_same_staging(const exec::MaterializedLoop& got,
+                         const exec::MaterializedLoop& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.staged_refs_total(), want.staged_refs_total()) << where;
+  const std::uint64_t n = got.staged_refs_total();
+  EXPECT_TRUE(std::equal(got.staged_offsets(), got.staged_offsets() + n,
+                         want.staged_offsets()))
+      << where;
+  EXPECT_TRUE(std::equal(got.staged_arrays(), got.staged_arrays() + n,
+                         want.staged_arrays()))
+      << where;
+  EXPECT_TRUE(std::equal(got.staged_sizes(), got.staged_sizes() + n,
+                         want.staged_sizes()))
+      << where;
+  for (std::uint64_t it = 0; it <= got.num_iterations(); ++it) {
+    ASSERT_EQ(got.staged_refs_before(it), want.staged_refs_before(it))
+        << where << " iteration " << it;
+  }
+  EXPECT_EQ(got.max_staged_per_iter(), want.max_staged_per_iter()) << where;
+  const exec::BodyShape& a = got.body_shape();
+  const exec::BodyShape& b = want.body_shape();
+  EXPECT_EQ(a.uniform, b.uniform) << where;
+  EXPECT_EQ(a.slots, b.slots) << where;
+  EXPECT_EQ(a.staged_reads, b.staged_reads) << where;
+  EXPECT_EQ(a.plain_reads, b.plain_reads) << where;
+  EXPECT_EQ(a.writes, b.writes) << where;
+}
+
+TEST(LoopPool, RestageDoesNotLeakAcrossProofKeys) {
+  struct Key {
+    unsigned workers;
+    std::uint64_t chunk_bytes;
+  };
+  const Key keys[] = {{4, 4 * 1024}, {4, 64 * 1024}, {2, 64 * 1024},
+                      {1, 4 * 1024}, {4, 64 * 1024}, {4, 4 * 1024}};
+  for (const std::string& text : {std::string(kFlowWindow), gather_split_text()}) {
+    const loopir::LoopSpec lspec = loopir::LoopSpec::parse(text);
+    exec::MaterializedLoop reference(lspec);
+    const exec::ExecResult ref = exec::run_reference(reference);
+    exec::LoopPool pool(/*max_idle_per_key=*/1);
+    std::uint64_t proven = 0;
+    std::uint64_t refused = 0;
+    for (std::size_t i = 0; i < std::size(keys); ++i) {
+      const Key& key = keys[i];
+      const std::string where = lspec.name + " step " + std::to_string(i) +
+                                " workers=" + std::to_string(key.workers) +
+                                " chunk_bytes=" + std::to_string(key.chunk_bytes);
+      exec::LoopLease lease = pool.acquire(lspec, text);
+      EXPECT_EQ(lease.reused(), i > 0) << where;
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = key.workers;
+      rt::CascadeExecutor executor(cfg);
+      const exec::ExecResult got =
+          exec::run_cascaded(lease.loop(), executor, restructure(key.chunk_bytes));
+      EXPECT_EQ(got.digest, ref.digest) << where;
+      EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << where;
+
+      exec::MaterializedLoop fresh(lspec);
+      const bool allowed =
+          fresh.proof(key.chunk_bytes, key.workers).gate.allow_restructure();
+      EXPECT_EQ(got.preflight_refused, !allowed) << where;
+      ++(allowed ? proven : refused);
+      expect_same_staging(lease.loop(), fresh, where);
+    }
+    if (lspec.name == "flow_window") {
+      // The key sequence really moves the staged set both ways.
+      EXPECT_GT(proven, 0u);
+      EXPECT_GT(refused, 0u);
+    }
+  }
 }
 
 TEST(LoopPool, ThreadedAcquireReleaseIsSafe) {

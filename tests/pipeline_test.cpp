@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "casc/analysis/pipeline_plan.hpp"
+#include "casc/analysis/verifier.hpp"
 #include "casc/exec/bridge.hpp"
 #include "casc/exec/pipeline.hpp"
 #include "casc/loopir/pipeline_spec.hpp"
@@ -348,6 +349,75 @@ TEST(PipelineExec, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(a.chain_digest, b.chain_digest);
   EXPECT_EQ(a.rw_checksum, b.rw_checksum);
 }
+
+TEST(PipelineExec, RepeatChainCallsProveOnce) {
+  exec::MaterializedPipeline pipe(load_pipeline("pipeline_mixed.casc"));
+  const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  auto stage_sum = [](const exec::PipelineResult& r) {
+    double s = 0.0;
+    for (const exec::PipelineStageResult& stage : r.stages) {
+      s += stage.result.prove_seconds;
+    }
+    return s;
+  };
+  const exec::PipelineResult first = exec::run_pipeline_cascaded(pipe, executor);
+  const exec::PipelineResult second = exec::run_pipeline_cascaded(pipe, executor);
+  EXPECT_GT(first.prove_seconds, 0.0);
+  EXPECT_EQ(first.prove_seconds, stage_sum(first));
+  EXPECT_EQ(second.prove_seconds, 0.0);
+  EXPECT_EQ(stage_sum(second), 0.0);
+  // The independent path shares the stage proofs: once its own first call
+  // has proved the stages the pipelined path skips, it proves nothing more.
+  (void)exec::run_pipeline_independent(pipe, 2);
+  const exec::PipelineResult ind = exec::run_pipeline_independent(pipe, 2);
+  EXPECT_EQ(ind.prove_seconds, 0.0);
+  for (const exec::PipelineResult* r : {&first, &second, &ind}) {
+    EXPECT_EQ(r->chain_digest, ref.chain_digest);
+    EXPECT_EQ(r->rw_checksum, ref.rw_checksum);
+  }
+  // Prefetch never proves.
+  exec::RtOptions prefetch;
+  prefetch.helper = exec::HelperMode::kPrefetch;
+  EXPECT_EQ(exec::run_pipeline_cascaded(pipe, executor, prefetch).prove_seconds,
+            0.0);
+}
+
+// The pipelined path hands every gathering stage its cached certificate-aware
+// proof.  Stage specs carry derived (honest) read-only claims, so that proof
+// must equal the strict verifier's verdict and certify nothing extra — or a
+// restage would outgrow the stage's plan-sized arena region.  Pinned on every
+// committed pipeline, including the PARMVR call-12 chain at the scale the
+// benches run.
+class PipelineStageProof : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PipelineStageProof, StrictAndCertificateAwareVerdictsAgree) {
+  const loopir::PipelineSpec spec = GetParam() == "parmvr_call12"
+                                        ? wave5::make_parmvr_pipeline(/*scale=*/1)
+                                        : load_pipeline(GetParam() + ".casc");
+  exec::MaterializedPipeline pipe(spec);
+  for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+    exec::MaterializedLoop& stage = pipe.stage(k);
+    const bool strict = analysis::analyze(stage.spec()).restructure_eligible;
+    for (const std::uint64_t workers : {1u, 2u, 4u}) {
+      const exec::Proof& proof = stage.proof(64 * 1024, workers);
+      EXPECT_EQ(proof.gate.allow_restructure(), strict)
+          << spec.name << " stage " << k << " workers=" << workers;
+      EXPECT_TRUE(proof.certified.empty())
+          << spec.name << " stage " << k << " workers=" << workers;
+      EXPECT_EQ(8 * stage.staged_refs_total(), pipe.plan().stages[k].staged_bytes)
+          << spec.name << " stage " << k << " workers=" << workers;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Committed, PipelineStageProof,
+    ::testing::Values("pipeline_reuse", "pipeline_index_clobber",
+                      "pipeline_mixed", "parmvr_call12"),
+    [](const ::testing::TestParamInfo<std::string>& info) { return info.param; });
 
 // ---- fail-soft: chaos on the pipelined path --------------------------------
 

@@ -61,11 +61,9 @@ class ScopedNoVerify {
 
 TEST(PreflightGate, VerdictConstruction) {
   const PreflightGate proven = PreflightGate::proven();
-  EXPECT_TRUE(proven.is_proven());
   EXPECT_TRUE(proven.allow_restructure());
 
   const PreflightGate refused = PreflightGate::refused(hazard_diag());
-  EXPECT_FALSE(refused.is_proven());
   EXPECT_FALSE(refused.allow_restructure());
   EXPECT_EQ(refused.reason().rule, "hazard-cross-chunk");
 }
