@@ -1,8 +1,10 @@
 // Real-runtime end-to-end benchmarks (google-benchmark): a memory-bound loop
-// run sequentially vs cascaded with prefetch and restructure helpers on real
-// threads.  On a multi-core host the cascaded variants approach the paper's
-// behaviour; on a single-core host they document the overhead floor (the
-// README explains why — helpers then time-share the one core).
+// run sequentially vs cascaded with a prefetch helper and with none on real
+// threads (the staged path is exec's flat-region gather, benchmarked by
+// bench_rt_pipeline and perfbench).  On a multi-core host the cascaded
+// variants approach the paper's behaviour; on a single-core host they
+// document the overhead floor (the README explains why — helpers then
+// time-share the one core).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -12,13 +14,11 @@
 #include "bench_gbench_json.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/helpers.hpp"
-#include "casc/rt/restructured.hpp"
 
 namespace {
 
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
-using casc::rt::RestructuredLoop;
 using casc::rt::TokenWatch;
 
 constexpr std::uint64_t kN = 1 << 20;           // 8 MB of doubles per array
@@ -92,51 +92,6 @@ void BM_CascadedGatherNoHelper(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
 }
 BENCHMARK(BM_CascadedGatherNoHelper)->Arg(2)->Arg(4);
-
-// The staged path: RestructuredLoop's cursor-based stage/drain (one hard
-// bounds check per chunk, commit-to-publish, prefetched drain), parking per
-// ExecutorConfig's kAuto default.
-void BM_CascadedGatherRestructure(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads});
-  RestructuredLoop<double> loop(ex, kChunkIters);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_fraction"] = loop.last_run_stats().staged_fraction();
-}
-BENCHMARK(BM_CascadedGatherRestructure)->Arg(2)->Arg(4);
-
-// The SIMD staged path: the same loop with the gather declared as
-// IndexedGather (block staging through the runtime-dispatched gather
-// kernels) and the drain as a span consumer (one call per chunk over the
-// contiguous staged values).  Against BM_CascadedGatherRestructure this
-// isolates what the explicit SIMD kernels buy over the scalar
-// gather-one-push-one staging loop.
-void BM_CascadedGatherRestructureSimd(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads});
-  RestructuredLoop<double> loop(ex, kChunkIters);
-  const auto gather = casc::rt::indexed_gather(w.a.data(), kN, w.ij.data());
-  for (auto _ : state) {
-    loop.run(kN, gather,
-             [&](std::uint64_t b, std::uint64_t e, const double* vals) {
-               for (std::uint64_t i = b; i < e; ++i) w.x[i] = vals[i - b] + 1.0;
-             });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_fraction"] = loop.last_run_stats().staged_fraction();
-  state.counters["simd_tier"] = static_cast<double>(
-      static_cast<int>(casc::common::simd::active_tier()));
-}
-BENCHMARK(BM_CascadedGatherRestructureSimd)->Arg(2)->Arg(4);
 
 }  // namespace
 

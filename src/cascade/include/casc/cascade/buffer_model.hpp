@@ -6,9 +6,9 @@
 // to stay resident in that processor's caches.
 //
 // This is pure modeling state for the cache simulator: an address range with
-// a cursor and byte-accounting, no payload.  The REAL buffer — the byte
-// arena the threaded runtime stages actual operand values through — is
-// casc::rt::SequentialBuffer (casc/rt/seq_buffer.hpp), the single payload
+// a cursor and byte-accounting, no payload.  The REAL buffer — the bytes
+// the threaded runtime stages actual operand values through — is exec's flat
+// staging region (exec::run_stage in src/exec/bridge.cpp), the single payload
 // implementation in the tree.
 #pragma once
 

@@ -13,7 +13,7 @@
 // Two adapters over the same policy:
 //
 //   * AlignedStorage — RAII byte arena for code that manages its own layout
-//     (rt::SequentialBuffer);
+//     (exec's flat staging region and pipeline arena);
 //   * AlignedAllocator<T> — std::allocator drop-in so containers
 //     (exec::MaterializedLoop's backing arrays) land on the same tiers
 //     without changing their call sites beyond the template argument.

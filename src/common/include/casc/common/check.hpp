@@ -28,31 +28,3 @@ class CheckFailure : public std::logic_error {
                                    ::std::string{__VA_ARGS__});                  \
     }                                                                            \
   } while (false)
-
-// Debug-only checking for per-iteration hot paths (sequential-buffer cursors,
-// helper inner loops).  Active in Debug builds (no NDEBUG) and in sanitizer
-// builds (the CASC_SANITIZE CMake option defines CASC_FORCE_DCHECK), compiled
-// down to nothing in Release — per-chunk and API-boundary invariants must stay
-// on CASC_CHECK.
-#if !defined(NDEBUG) || defined(CASC_FORCE_DCHECK)
-#define CASC_DCHECK_IS_ON 1
-#else
-#define CASC_DCHECK_IS_ON 0
-#endif
-
-#if CASC_DCHECK_IS_ON
-#define CASC_DCHECK(...) CASC_CHECK(__VA_ARGS__)
-#else
-#define CASC_DCHECK(cond, ...)   \
-  do {                           \
-    if (false) {                 \
-      (void)(cond);              \
-    }                            \
-  } while (false)
-#endif
-
-namespace casc::common {
-/// Whether CASC_DCHECK fires in this build — lets tests assert on the checked
-/// behaviour only when it exists.
-inline constexpr bool kDcheckEnabled = CASC_DCHECK_IS_ON == 1;
-}  // namespace casc::common

@@ -119,8 +119,9 @@ struct Resilience {
 /// read via CascadeExecutor::current_exec_context().
 struct ExecContext {
   /// This chunk was reclaimed from a quarantined/stuck owner and is running
-  /// on a non-owner thread: per-worker staging buffers belong to the owner
-  /// and must not be read.
+  /// on a non-owner thread: the chunk's commit flag (and the staging it
+  /// publishes) is written by the owner's helper without synchronization,
+  /// so it must not be read.
   bool reclaimed = false;
   /// The owner's staging is suspect (its helper faulted earlier this run):
   /// run the unstaged fallback path even if the chunk looks staged.

@@ -1,18 +1,11 @@
 // Building blocks for helper phases on real hardware: forced loads (reliable
-// cache warming), prefetch hints, span prefetchers with jump-out polling, and
-// per-worker sequential-buffer management for restructuring helpers.
+// cache warming) and span prefetchers with jump-out polling.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "casc/common/align.hpp"
-#include "casc/common/check.hpp"
 #include "casc/rt/executor.hpp"
-#include "casc/rt/seq_buffer.hpp"
 #include "casc/rt/token.hpp"
 
 namespace casc::rt {
@@ -22,15 +15,6 @@ namespace casc::rt {
 /// whole purpose is the cache side effect.
 inline void force_load(const void* p) noexcept {
   (void)*static_cast<const volatile unsigned char*>(p);
-}
-
-/// Non-binding prefetch hint (may be dropped under load).
-inline void prefetch_hint(const void* p) noexcept {
-#if defined(__GNUC__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
 }
 
 /// Loads one byte of every cache line covering elements [begin, end) of
@@ -50,40 +34,6 @@ bool prefetch_span(const T* data, std::uint64_t begin, std::uint64_t end,
   }
   return true;
 }
-
-/// One SequentialBuffer per worker, addressed by chunk.  Chunk c is always
-/// handled (helper and execution phase alike) by worker c mod P, so
-/// `for_chunk` hands both phases the same buffer without any
-/// synchronization.  Reuse is safe by construction: chunk c + P's helper runs
-/// on worker w only after w has drained chunk c.
-class PerWorkerBuffers {
- public:
-  PerWorkerBuffers(unsigned num_workers, std::size_t capacity_bytes,
-                   std::uint64_t iters_per_chunk)
-      : iters_per_chunk_(iters_per_chunk) {
-    CASC_CHECK(num_workers > 0, "need at least one worker");
-    CASC_CHECK(iters_per_chunk > 0, "iters_per_chunk must be positive");
-    buffers_.reserve(num_workers);
-    for (unsigned w = 0; w < num_workers; ++w) {
-      buffers_.push_back(std::make_unique<SequentialBuffer>(capacity_bytes));
-    }
-  }
-
-  /// Buffer owned by the worker responsible for the chunk starting at
-  /// iteration `chunk_begin`.
-  [[nodiscard]] SequentialBuffer& for_chunk(std::uint64_t chunk_begin) {
-    return for_chunk_index(chunk_begin / iters_per_chunk_);
-  }
-
-  /// Same, addressed by chunk index directly (what RestructuredLoop uses).
-  [[nodiscard]] SequentialBuffer& for_chunk_index(std::uint64_t chunk) {
-    return *buffers_[chunk % buffers_.size()];
-  }
-
- private:
-  std::uint64_t iters_per_chunk_;
-  std::vector<std::unique_ptr<SequentialBuffer>> buffers_;
-};
 
 /// Convenience: cascades a per-iteration body over [0, n).
 template <typename Body>

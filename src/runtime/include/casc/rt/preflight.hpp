@@ -5,15 +5,15 @@
 // from an analysis verdict (casc::analysis::analyze over the loop's spec, or
 // casc::analysis::verify_ref_stream over its reference stream).  A gate either
 // carries a proof ("every operand the helper stages is read-only") or a
-// refusal diagnostic.  Gated entry points (CascadeExecutor::run overload,
-// RestructuredLoop::run overload) consult the gate before letting a helper
-// stage values:
+// refusal diagnostic.  The gated CascadeExecutor::run overload consults the
+// gate before letting a helper stage values:
 //   * proven        -> the helper runs normally;
 //   * refused       -> the helper is not allowed to stage: the executor drops
-//                      the helper, RestructuredLoop degrades it to a pure
-//                      prefetch (gather-and-discard) pass, and the refusal is
-//                      recorded in the run's stats — execution-phase results
-//                      are identical either way, just slower.
+//                      the helper and records the refusal in the run's stats
+//                      — execution-phase results are identical either way,
+//                      just slower.
+// exec's restructure runs (exec::run_stage) are the gate's consumer: their
+// verdict is the loop's cached exec::Proof.
 // Nothing overrides a refusal: a gate allows staging iff it is proven.
 #pragma once
 

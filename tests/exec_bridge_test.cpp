@@ -23,6 +23,7 @@
 #include "casc/analysis/verifier.hpp"
 #include "casc/cascade/engine.hpp"
 #include "casc/common/diagnostic.hpp"
+#include "casc/common/rng.hpp"
 #include "casc/core/chunk.hpp"
 #include "casc/exec/bridge.hpp"
 #include "casc/exec/materialize.hpp"
@@ -88,18 +89,36 @@ TEST(ExecBridge, CascadedMatchesReferenceBitForBit) {
 }
 
 TEST(ExecBridge, NonDefaultChunkGeometryStillMatches) {
-  exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
-  const exec::ExecResult ref = exec::run_reference(loop);
-  rt::ExecutorConfig cfg;
-  cfg.num_threads = 3;
-  rt::CascadeExecutor executor(cfg);
-  for (const std::uint64_t ipc : {1ull, 7ull, 1024ull, 1ull << 20}) {
-    exec::RtOptions opt;
-    opt.helper = exec::HelperMode::kRestructure;
-    opt.iters_per_chunk = ipc;
-    const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
-    EXPECT_EQ(got.digest, ref.digest) << "ipc=" << ipc;
-    EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << "ipc=" << ipc;
+  // Fixed points cover every chunk geometry against both specs' 32768-
+  // iteration trip: one iteration per chunk, a ragged tail (7), an exact
+  // multiple (512), and a chunk larger than the whole loop (1 << 20).  A
+  // seeded draw from [1, 512] adds more.  Whatever mix of staged chunks and
+  // jump-out fallbacks a geometry produces, the bits must match the
+  // sequential reference.
+  std::vector<std::uint64_t> ipcs = {1, 7, 512, 1024, 1ull << 20};
+  common::Rng rng(0x6E0A5EEDull);
+  for (int k = 0; k < 8; ++k) ipcs.push_back(rng.in_range(1, 512));
+
+  for (const std::string file : {"dense_sum.casc", "gather_split.casc"}) {
+    exec::MaterializedLoop loop(load_spec(file));
+    const exec::ExecResult ref = exec::run_reference(loop);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = threads;
+      rt::CascadeExecutor executor(cfg);
+      for (const std::uint64_t ipc : ipcs) {
+        exec::RtOptions opt;
+        opt.helper = exec::HelperMode::kRestructure;
+        opt.iters_per_chunk = ipc;
+        const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+        EXPECT_EQ(got.digest, ref.digest)
+            << file << " threads=" << threads << " ipc=" << ipc;
+        EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
+            << file << " threads=" << threads << " ipc=" << ipc;
+        EXPECT_LE(got.staged_chunks, got.num_chunks)
+            << file << " threads=" << threads << " ipc=" << ipc;
+      }
+    }
   }
 }
 

@@ -1,6 +1,6 @@
-// Tests for the runtime preflight gate: gated CascadeExecutor::run and
-// RestructuredLoop::run must refuse to let an unproven helper stage values,
-// degrade to the always-correct path, and log the refusal diagnostic.  No
+// Tests for the runtime preflight gate: gated CascadeExecutor::run must
+// refuse to let an unproven helper stage values, degrade to the
+// always-correct path, and log the refusal diagnostic.  No
 // environment variable overrides a refusal; the CASC_NO_VERIFY tests pin
 // that the old escape hatch is gone.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "casc/common/diagnostic.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/preflight.hpp"
-#include "casc/rt/restructured.hpp"
 
 namespace {
 
@@ -23,7 +22,6 @@ using casc::common::Severity;
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
 using casc::rt::PreflightGate;
-using casc::rt::RestructuredLoop;
 using casc::rt::TokenWatch;
 
 Diagnostic hazard_diag() {
@@ -141,67 +139,6 @@ TEST(ExecutorGate, StatsResetBetweenGatedRuns) {
   ex.run(256, 64, exec, helper, PreflightGate::proven());
   EXPECT_FALSE(ex.last_run_stats().preflight_refused);
   EXPECT_TRUE(ex.last_run_stats().preflight_diag.empty());
-}
-
-TEST(RestructuredGate, RefusedGateNeverStagesButStaysCorrect) {
-  const std::uint64_t n = 2048;
-  std::vector<double> a(n);
-  for (std::uint64_t i = 0; i < n; ++i) a[i] = 0.5 * static_cast<double>(i);
-  std::vector<double> want(n), got(n);
-  for (std::uint64_t i = 0; i < n; ++i) want[i] = a[i] + 1.0;
-
-  CascadeExecutor ex(ExecutorConfig{2});
-  RestructuredLoop<double> loop(ex, 128);
-  loop.run(
-      n, [&](std::uint64_t i) { return a[i]; },
-      [&](std::uint64_t i, double v) { got[i] = v + 1.0; },
-      PreflightGate::refused(hazard_diag()));
-
-  EXPECT_EQ(got, want);
-  const auto& stats = loop.last_run_stats();
-  EXPECT_EQ(stats.chunks, n / 128);
-  EXPECT_EQ(stats.chunks_staged, 0u)
-      << "a refused gate must keep every chunk on the gather fallback";
-  EXPECT_EQ(stats.chunks_fallback, stats.chunks);
-  EXPECT_TRUE(stats.preflight_refused);
-  EXPECT_NE(stats.preflight_diag.find("unsafe_recurrence"), std::string::npos)
-      << stats.preflight_diag;
-}
-
-TEST(RestructuredGate, ProvenGateStagesLikeUngatedRun) {
-  const std::uint64_t n = 2048;
-  std::vector<double> a(n);
-  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<double>(i);
-  std::vector<double> got(n);
-
-  CascadeExecutor ex(ExecutorConfig{2});
-  RestructuredLoop<double> loop(ex, 128);
-  loop.run(
-      n, [&](std::uint64_t i) { return a[i]; },
-      [&](std::uint64_t i, double v) { got[i] = v; }, PreflightGate::proven());
-
-  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(got[i], a[i]);
-  const auto& stats = loop.last_run_stats();
-  EXPECT_FALSE(stats.preflight_refused);
-  EXPECT_EQ(stats.chunks_staged + stats.chunks_fallback, stats.chunks);
-}
-
-TEST(RestructuredGate, NoVerifyEnvDoesNotLetARefusedGateStage) {
-  ScopedNoVerify env;
-  const std::uint64_t n = 1024;
-  std::vector<double> a(n, 2.0);
-  std::vector<double> got(n);
-  CascadeExecutor ex(ExecutorConfig{2});
-  RestructuredLoop<double> loop(ex, 128);
-  loop.run(
-      n, [&](std::uint64_t i) { return a[i]; },
-      [&](std::uint64_t i, double v) { got[i] = v; },
-      PreflightGate::refused(hazard_diag()));
-  for (double v : got) ASSERT_EQ(v, 2.0);
-  const auto& stats = loop.last_run_stats();
-  EXPECT_EQ(stats.chunks_staged, 0u);
-  EXPECT_EQ(stats.chunks_fallback, stats.chunks);
-  EXPECT_TRUE(stats.preflight_refused);
 }
 
 }  // namespace

@@ -4,16 +4,21 @@
 // seeded ChaosPlan kills, stalls, and corrupts the helper phases, cycling
 // through every workload shape the runtime supports:
 //
-//   run % 4 == 0   exec bridge, HelperMode::kNone  (chaos on a no-op helper)
-//   run % 4 == 1   exec bridge, HelperMode::kPrefetch
-//   run % 4 == 2   exec bridge, HelperMode::kRestructure
-//   run % 4 == 3   RestructuredLoop<double> (loop-carried recurrence)
+//   run % 4 == 0   exec bridge, dense spec,  HelperMode::kNone
+//                  (chaos on a no-op helper)
+//   run % 4 == 1   exec bridge, dense spec,  HelperMode::kPrefetch
+//   run % 4 == 2   exec bridge, dense spec,  HelperMode::kRestructure
+//   run % 4 == 3   exec bridge, gather spec, HelperMode::kRestructure
+//                  (a read-only array read through a random index array:
+//                  chaos hits a staged indexed gather)
 //
 // The contract under test is the fail-soft guarantee: EVERY cascade must
 // complete with the bit-identical sequential result and NO run may abort —
 // chaos plans contain helper-site faults only, which the runtime must absorb
 // via backoff / quarantine / chunk reclamation.  Degradation is expected and
-// reported; divergence or an escaped exception fails the soak.
+// reported; divergence or an escaped exception fails the soak, and so does
+// a gather leg that never stages a chunk (with more than one worker) or
+// whose restructure gate refuses — it must not quietly run as a prefetch.
 //
 // --daemon mode soaks the SERVICE path instead: an in-process cascd
 // (sharded SvcServer on a Unix socket) is flooded by N concurrent tenant
@@ -42,7 +47,6 @@
 #include "casc/report/table.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
-#include "casc/rt/restructured.hpp"
 #include "casc/svc/client.hpp"
 #include "casc/svc/server.hpp"
 
@@ -82,6 +86,20 @@ access b read
 access y write
 )";
 
+/// Indexed gather: the y writes are fed by a read-only array chased through
+/// a random index array, the shape the restructuring helper exists for.
+/// Same trip count as kSoakSpec, so both legs share one chunk geometry.
+constexpr const char* kSoakGatherSpec = R"(loop soak_gather
+trip 16384
+compute 6 4
+layout conflicting
+array y 8 16384 rw
+array a 8 16384 ro
+index ij 16384 random 29
+access a read via ij
+access y write
+)";
+
 constexpr std::uint64_t kItersPerChunk = 1024;
 
 /// Per-run seed derivation (splitmix-style) so consecutive runs draw
@@ -92,31 +110,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t run) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-/// The restructured-loop soak workload: a loop-carried recurrence over a
-/// gathered operand, so any staleness or ordering bug changes the final bits.
-struct RecurrenceWorkload {
-  std::vector<double> a;
-  std::vector<std::uint32_t> ij;
-  std::vector<double> want;
-  double want_acc = 0.0;
-
-  explicit RecurrenceWorkload(std::uint64_t n) : a(n), ij(n), want(n) {
-    std::uint64_t state = 0x5DEECE66Dull;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      state = mix(state, i + 1);
-      a[i] = static_cast<double>(static_cast<std::int64_t>(state % 2000001) -
-                                 1000000);
-      ij[i] = static_cast<std::uint32_t>(mix(state, i) % n);
-    }
-    double acc = 0.0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      acc = acc * 0.75 + a[ij[i]];
-      want[i] = acc;
-    }
-    want_acc = acc;
-  }
-};
 
 struct SoakTotals {
   std::uint64_t helper_faults = 0;
@@ -156,27 +149,21 @@ int run_soak(const cli::Args& args) {
   exec_cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
   rt::CascadeExecutor executor(exec_cfg);
 
-  // Bridge workload: materialize once, reference once.
+  // Bridge workloads: materialize once, reference once.
   common::DiagnosticList diags;
-  const loopir::LoopSpec spec = loopir::LoopSpec::parse(kSoakSpec, diags);
+  const loopir::LoopSpec dense_spec = loopir::LoopSpec::parse(kSoakSpec, diags);
+  const loopir::LoopSpec gather_spec =
+      loopir::LoopSpec::parse(kSoakGatherSpec, diags);
   if (!diags.ok()) {
     std::cerr << diags.render_text();
     return 1;
   }
-  exec::MaterializedLoop loop(spec);
-  const exec::ExecResult ref = exec::run_reference(loop);
-  const std::uint64_t num_chunks =
-      (loop.num_iterations() + kItersPerChunk - 1) / kItersPerChunk;
-
-  // Restructured workload: one persistent driver whose options point at a
-  // mutable plan slot, refilled with a fresh schedule before each run.
-  const RecurrenceWorkload rec(loop.num_iterations());
-  rt::ChaosPlan rec_plan;
-  rt::RestructuredOptions rec_opt;
-  rec_opt.iters_per_chunk = kItersPerChunk;
-  rec_opt.chaos = &rec_plan;
-  rt::RestructuredLoop<double> rec_loop(executor, rec_opt);
-  std::vector<double> got(rec.a.size());
+  exec::MaterializedLoop dense_loop(dense_spec);
+  exec::MaterializedLoop gather_loop(gather_spec);
+  const exec::ExecResult dense_ref = exec::run_reference(dense_loop);
+  const exec::ExecResult gather_ref = exec::run_reference(gather_loop);
+  std::uint64_t gather_runs = 0;
+  std::uint64_t gather_staged_chunks = 0;
 
   SoakTotals totals;
   std::uint64_t failures = 0;
@@ -192,34 +179,32 @@ int run_soak(const cli::Args& args) {
   };
 
   for (std::uint64_t run = 0; run < runs; ++run) {
+    const bool gather = run % 4 == 3;
+    exec::MaterializedLoop& loop = gather ? gather_loop : dense_loop;
+    const exec::ExecResult& ref = gather ? gather_ref : dense_ref;
+    const std::uint64_t num_chunks =
+        (loop.num_iterations() + kItersPerChunk - 1) / kItersPerChunk;
     const rt::ChaosPlan plan = rt::ChaosPlan::make(mix(seed, run), num_chunks,
                                                    kItersPerChunk, chaos_opt);
     try {
-      if (run % 4 == 3) {
-        rec_plan = plan;
-        double acc = 0.0;
-        std::fill(got.begin(), got.end(), 0.0);
-        rec_loop.run(
-            rec.a.size(), [&](std::uint64_t i) { return rec.a[rec.ij[i]]; },
-            [&](std::uint64_t i, double v) {
-              acc = acc * 0.75 + v;
-              got[i] = acc;
-            });
-        if (acc != rec.want_acc || got != rec.want) {
-          fail(run, "restructured-loop result diverged from the reference");
-        }
-      } else {
-        exec::RtOptions rt_opt;
-        rt_opt.iters_per_chunk = kItersPerChunk;
-        rt_opt.helper = run % 4 == 0   ? exec::HelperMode::kNone
-                        : run % 4 == 1 ? exec::HelperMode::kPrefetch
-                                       : exec::HelperMode::kRestructure;
-        rt_opt.chaos = &plan;
-        rt_opt.soft_budget_factor = 8.0;
-        rt_opt.estimated_seq_seconds = ref.seconds;
-        const exec::ExecResult got_rt = exec::run_cascaded(loop, executor, rt_opt);
-        if (got_rt.digest != ref.digest || got_rt.rw_checksum != ref.rw_checksum) {
-          fail(run, "cascaded digest diverged from the sequential reference");
+      exec::RtOptions rt_opt;
+      rt_opt.iters_per_chunk = kItersPerChunk;
+      rt_opt.helper = run % 4 == 0   ? exec::HelperMode::kNone
+                      : run % 4 == 1 ? exec::HelperMode::kPrefetch
+                                     : exec::HelperMode::kRestructure;
+      rt_opt.chaos = &plan;
+      rt_opt.soft_budget_factor = 8.0;
+      rt_opt.estimated_seq_seconds = ref.seconds;
+      const exec::ExecResult got_rt = exec::run_cascaded(loop, executor, rt_opt);
+      if (got_rt.digest != ref.digest || got_rt.rw_checksum != ref.rw_checksum) {
+        fail(run, "cascaded digest diverged from the sequential reference");
+      }
+      if (gather) {
+        ++gather_runs;
+        gather_staged_chunks += got_rt.staged_chunks;
+        if (got_rt.preflight_refused) {
+          fail(run, "restructure gate refused the gather spec: " +
+                        got_rt.preflight_diag);
         }
       }
     } catch (const std::exception& e) {
@@ -249,6 +234,8 @@ int run_soak(const cli::Args& args) {
       {"workers quarantined", report::fmt_count(totals.workers_quarantined)});
   table.add_row({"degraded runs", report::fmt_count(totals.degraded_runs)});
   table.add_row({"demoted runs", report::fmt_count(totals.demoted_runs)});
+  table.add_row({"gather-leg chunks staged",
+                 report::fmt_count(gather_staged_chunks)});
   table.add_row({"aborted/diverged runs", report::fmt_count(failures)});
   table.print(std::cout);
 
@@ -256,6 +243,13 @@ int run_soak(const cli::Args& args) {
     std::cerr << "SOAK FAIL: " << failures << " of " << runs
               << " cascades failed (first at run " << first_failed_run << ": "
               << first_failure << ")\n";
+    return 1;
+  }
+  // A one-worker ring runs no helper phase, so only a multi-worker soak can
+  // demand staging.
+  if (gather_runs > 0 && executor.num_threads() > 1 && gather_staged_chunks == 0) {
+    std::cerr << "SOAK FAIL: the gather leg staged no chunk in " << gather_runs
+              << " runs\n";
     return 1;
   }
   std::cout << "SOAK PASS: " << runs << "/" << runs
