@@ -11,9 +11,10 @@
 // classification; this pass checks it against the workload's own reference
 // stream (the ground truth) and reports every violation as a Diagnostic.
 //
-// There is exactly one implementation of this check in the tree.  The
-// simulator's engine calls it directly; the threaded runtime reaches it
-// through casc::exec, which turns the report into an rt::PreflightGate.
+// There is exactly one implementation of this check in the tree; the
+// simulator's engine calls it.  The threaded runtime does not: its gate is
+// casc::exec's Proof, built from analysis::analyze over the spec's claims
+// plus analysis::certify when only staging claims failed.
 #pragma once
 
 #include <cstdint>

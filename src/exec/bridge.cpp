@@ -205,13 +205,15 @@ struct RegionState {
 /// Runs one stage of a cascade on `executor` against the arrays' CURRENT
 /// contents (resets and checksums are sequenced by the entry points),
 /// staging through `region` (flat layout: staged reference p of the loop
-/// lives at region + 8p, so chunk geometry never shifts the bytes).  `gate`
-/// is the caller's restructure verdict for this stage.  With `reuse` the stage
+/// lives at region + 8p, so chunk geometry never shifts the bytes).  `proof`
+/// is the loop's restructure proof when this stage would gather (null
+/// otherwise); a refused proof installs no helper phase at all — not even a
+/// chaos-armed one — and is recorded in the result.  With `reuse` the stage
 /// gathers nothing and executes against the staged stream `rs` describes;
 /// otherwise it stages into the region itself and rewrites `rs` for its
 /// successors.  A single loop is a one-stage chain with a region of its own.
 ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
-                     const RtOptions& opt, const rt::PreflightGate& gate,
+                     const RtOptions& opt, const Proof* proof,
                      std::byte* region, RegionState& rs, bool reuse) {
   const std::uint64_t total = loop.num_iterations();
   std::uint64_t ipc = opt.iters_per_chunk;
@@ -238,13 +240,19 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
     reuse = false;
     region = nullptr;
   }
+  // A refused proof means the helper would stage operand values some chunk
+  // writes; the cascade degenerates to token hand-offs over the plain loop
+  // body, which is always correct.
+  const bool refused = proof != nullptr && !proof->proven();
   const bool staging = opt.helper == HelperMode::kRestructure &&
-                       region != nullptr && !reuse;
+                       region != nullptr && !reuse && !refused;
 
   // The loop-carried accumulator crosses chunk boundaries on the token's
   // release/acquire edge — the same edge that makes the arrays' own writes
-  // visible to the next execution phase.
+  // visible to the next execution phase.  So does the count of chunks whose
+  // execution phase consumed staged values.
   std::uint64_t acc = MaterializedLoop::kAccSeed;
+  std::uint64_t staged_used = 0;
   // Helper and execution phase of chunk c run on the same worker (c mod P),
   // so the commit flags need no synchronization.
   std::vector<char> chunk_staged(num_chunks, 0);
@@ -263,6 +271,7 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
         (reuse ? rs.chunk_staged[c] : chunk_staged[c]) != 0) {
       acc = interpret_span(loop, begin, end, acc,
                            staged_base + loop.staged_refs_before(begin));
+      ++staged_used;
     } else {
       acc = interpret_span(loop, begin, end, acc, nullptr);
     }
@@ -320,8 +329,9 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
     return true;
   };
 
-  // No helper phase for a reuse stage (nothing to gather) or a none-mode
-  // (or stage-nothing) run: it executes straight from the arrays.
+  // No helper phase for a reuse stage (nothing to gather), a refused proof
+  // or a none-mode (or stage-nothing) run: it executes straight from the
+  // arrays.
   rt::HelperRef helper;
   if (staging) {
     helper = gather_helper;
@@ -333,7 +343,7 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   // no helper a no-op one is installed so the planned faults still exercise
   // the quarantine/backoff machinery.  `armed` owns the wrapper across run().
   rt::HelperFn armed;
-  if (opt.chaos != nullptr && !opt.chaos->empty()) {
+  if (opt.chaos != nullptr && !opt.chaos->empty() && !refused) {
     armed = opt.chaos->arm(helper ? rt::HelperFn(helper) : rt::HelperFn());
     helper = armed;
   }
@@ -346,15 +356,17 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   }
 
   common::Stopwatch watch;
-  executor.run(total, ipc, exec, helper, gate);
+  executor.run(total, ipc, exec, helper);
   result.seconds = watch.elapsed_seconds();
 
   const rt::RunStats& stats = executor.last_run_stats();
   result.transfers = stats.transfers;
   result.helpers_completed = stats.helpers_completed;
   result.helpers_jumped_out = stats.helpers_jumped_out;
-  result.preflight_refused = stats.preflight_refused;
-  result.preflight_diag = stats.preflight_diag;
+  if (refused) {
+    result.preflight_refused = true;
+    result.preflight_diag = common::render_text(*proof->refusal);
+  }
   result.helper_faults = stats.helper_faults;
   result.chunks_reclaimed = stats.chunks_reclaimed;
   result.helper_retries = stats.helper_retries;
@@ -362,16 +374,14 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   result.workers_quarantined = stats.workers_quarantined;
   result.demotion_level = stats.demotion_level;
   result.degraded = stats.degraded();
-  const std::vector<char>& flags = reuse ? rs.chunk_staged : chunk_staged;
-  result.staged_chunks = static_cast<std::uint64_t>(
-      std::count(flags.begin(), flags.end(), char{1}));
+  result.staged_chunks = staged_used;
   result.digest = acc;
 
   if (!reuse) {
     rs.chunk_staged = std::move(chunk_staged);
     rs.ipc = ipc;
-    rs.trustworthy = staging && !stats.preflight_refused &&
-                     stats.helper_faults == 0 && stats.chunks_reclaimed == 0 &&
+    rs.trustworthy = staging && stats.helper_faults == 0 &&
+                     stats.chunks_reclaimed == 0 &&
                      stats.stagings_invalidated == 0;
   }
   return result;
@@ -385,8 +395,7 @@ ExecResult run_single(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                       const RtOptions& opt) {
   RegionState rs;
   if (opt.helper != HelperMode::kRestructure) {
-    return run_stage(loop, executor, opt, rt::PreflightGate::proven(), nullptr,
-                     rs, false);
+    return run_stage(loop, executor, opt, nullptr, nullptr, rs, false);
   }
   double prove_s = 0.0;
   const Proof& proof =
@@ -394,7 +403,7 @@ ExecResult run_single(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   common::AlignedStorage region(
       8 * std::max<std::uint64_t>(1, loop.staged_refs_total()));
   ExecResult result =
-      run_stage(loop, executor, opt, proof.gate, region.data(), rs, false);
+      run_stage(loop, executor, opt, &proof, region.data(), rs, false);
   result.prove_seconds = prove_s;
   return result;
 }
@@ -454,11 +463,11 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     // is what sized the region (pipeline_test pins both on every
     // committed pipeline; the check turns a violation into an error rather
     // than an arena overrun).
-    rt::PreflightGate gate = rt::PreflightGate::proven();
+    const Proof* proof = nullptr;
     double prove_s = 0.0;
     if (opt.helper == HelperMode::kRestructure && !reuse &&
         pipe.region(k) != nullptr) {
-      gate = loop.proof(opt.chunk_bytes, executor.num_threads(), &prove_s).gate;
+      proof = &loop.proof(opt.chunk_bytes, executor.num_threads(), &prove_s);
       CASC_CHECK(8 * loop.staged_refs_total() <= sp.region_bytes,
                  "stage '" + pipe.spec().stages[k].name +
                      "' stages more than its planned arena region");
@@ -466,7 +475,7 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
     stage.result =
-        run_stage(loop, executor, opt, gate, pipe.region(k), rs, reuse);
+        run_stage(loop, executor, opt, proof, pipe.region(k), rs, reuse);
     stage.result.prove_seconds = prove_s;
     out.prove_seconds += prove_s;
     stage.reused_staging = reuse;

@@ -4,16 +4,17 @@
 //
 // Chunk geometry comes from core::ChunkPlan::for_iters_per_bytes — the SAME
 // call the simulator's engine makes — so a spec executed on both backends
-// uses the same iters-per-chunk.  The restructure gate comes from
-// casc::analysis (the verifier pipeline over the spec's original claims):
-// the runtime itself stays analysis-free, exactly as its PreflightGate
-// contract prescribes, and a spec with unsound claims degrades to prefetch
-// with the refusal recorded in the result.  The gate is the loop's cached
-// Proof (materialize.hpp, which also declares the uncached exec::gate_for):
-// every restructure entry point — run_cascaded, both pipeline paths, and so
-// every svc job — asks the MaterializedLoop for it under (chunk_bytes,
-// executor width), so only the first run of a key pays for the analysis;
-// prefetch and none-mode runs never prove.
+// uses the same iters-per-chunk.  The restructure gate lives here, not in
+// the runtime: casc::rt runs whatever helper it is handed and knows nothing
+// of analysis verdicts.  The gate is the loop's cached Proof
+// (materialize.hpp, which also declares the uncached exec::gate_for), built
+// by casc::analysis from the spec's original claims.  Every restructure
+// entry point — run_cascaded, both pipeline paths, and so every svc job —
+// asks the MaterializedLoop for it under (chunk_bytes, executor width), so
+// only the first run of a key pays for the analysis; prefetch and none-mode
+// runs never prove.  On a refused proof the run installs no helper phase
+// (nor a chaos-armed one): the cascade runs the plain loop body, and the
+// refusal is recorded in ExecResult::preflight_refused / preflight_diag.
 //
 // Helper phases on real hardware:
 //   * prefetch:    force_load every operand line of the coming chunk,
@@ -79,7 +80,9 @@ struct ExecResult {
   std::uint64_t transfers = 0;
   std::uint64_t helpers_completed = 0;
   std::uint64_t helpers_jumped_out = 0;
-  std::uint64_t staged_chunks = 0;  ///< chunks whose staging was committed
+  /// Chunks whose execution phase consumed staged values (a reclaimed or
+  /// suspect-staging chunk runs from the arrays and is not counted).
+  std::uint64_t staged_chunks = 0;
   bool preflight_refused = false;
   std::string preflight_diag;
   // Fail-soft degradation (mirrors rt::RunStats; all zero on a clean run).

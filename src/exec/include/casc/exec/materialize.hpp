@@ -38,7 +38,7 @@
 #include "casc/common/aligned_alloc.hpp"
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/loopir/loop_spec.hpp"
-#include "casc/rt/preflight.hpp"
+#include "casc/common/diagnostic.hpp"
 
 namespace casc::exec {
 
@@ -77,14 +77,17 @@ struct BodyShape {
   std::uint32_t writes = 0;
 };
 
-/// The restructure proof of a loop for one ring geometry: the gate verdict
-/// (a refusal carries the verifier's Diagnostic as its reason) and the
+/// The restructure proof of a loop for one ring geometry: the verdict
+/// (proven, or the verifier's Diagnostic explaining the refusal) and the
 /// operands whose staging a race certificate re-enabled (empty unless the
 /// certificate overturned a strict refusal).  Nothing else of the analysis —
-/// no report, certificate or trace — is kept.
+/// no report, certificate or trace — is kept.  A restructure run on a
+/// refused proof installs no helper at all (bridge.hpp).
 struct Proof {
-  rt::PreflightGate gate;
+  std::optional<common::Diagnostic> refusal;  ///< nullopt when proven
   std::vector<std::string> certified;
+
+  [[nodiscard]] bool proven() const noexcept { return !refusal.has_value(); }
 };
 
 /// Resolves an array name to externally owned backing storage of (at least)
@@ -247,19 +250,19 @@ class MaterializedLoop {
   std::uint64_t proof_workers_ = 0;
 };
 
-/// The restructure gate of `loop` for a ring of `workers` at `chunk_bytes`,
+/// The restructure proof of `loop` for a ring of `workers` at `chunk_bytes`,
 /// computed afresh: the computation behind MaterializedLoop::proof(), which
 /// it neither reads nor fills.  The analysis verifier judges the spec's
 /// ORIGINAL claims (a demoted claim refuses even though the sanitized nest
 /// no longer stages the offending operand).  When it refuses and every
 /// error is a staging-claim failure, the race certifier gets the final
 /// word: a certificate proving the staged bytes write-free (or token-ordered
-/// at this worker count) flips the gate to proven, and `certified` (when
-/// non-null) receives the operands it re-enables; otherwise `certified` is
-/// cleared.  Non-staging errors (layout, footprint, parse) always refuse.
-[[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
-                                         std::uint64_t chunk_bytes,
-                                         std::uint64_t workers,
-                                         std::vector<std::string>* certified);
+/// at this worker count) flips the verdict to proven, and the proof's
+/// `certified` lists the operands it re-enables (also copied to `certified`
+/// when non-null, which is otherwise cleared).  Non-staging errors (layout,
+/// footprint, parse) always refuse.
+[[nodiscard]] Proof gate_for(const MaterializedLoop& loop,
+                             std::uint64_t chunk_bytes, std::uint64_t workers,
+                             std::vector<std::string>* certified);
 
 }  // namespace casc::exec

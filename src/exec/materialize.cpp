@@ -82,10 +82,8 @@ const Proof& MaterializedLoop::proof(std::uint64_t chunk_bytes,
     return *proof_;
   }
   common::Stopwatch watch;
-  std::vector<std::string> certified;
-  rt::PreflightGate gate = gate_for(*this, chunk_bytes, workers, &certified);
-  restage(certified);
-  proof_ = Proof{std::move(gate), std::move(certified)};
+  proof_ = gate_for(*this, chunk_bytes, workers, nullptr);
+  restage(proof_->certified);
   proof_chunk_bytes_ = chunk_bytes;
   proof_workers_ = workers;
   if (seconds != nullptr) *seconds = watch.elapsed_seconds();
@@ -237,14 +235,13 @@ std::uint64_t MaterializedLoop::rw_checksum() const {
   return hash;
 }
 
-rt::PreflightGate gate_for(const MaterializedLoop& loop,
-                           std::uint64_t chunk_bytes, std::uint64_t workers,
-                           std::vector<std::string>* certified) {
+Proof gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes,
+               std::uint64_t workers, std::vector<std::string>* certified) {
   if (certified != nullptr) certified->clear();
   analysis::AnalyzeOptions opt;
   opt.chunk_bytes = chunk_bytes;
   const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
-  if (report.restructure_eligible) return rt::PreflightGate::proven();
+  if (report.restructure_eligible) return Proof{};
 
   // The certifier can only overturn staging-claim failures: the claims said
   // read-only, the resolved addresses may prove the staged bytes write-free
@@ -272,11 +269,12 @@ rt::PreflightGate gate_for(const MaterializedLoop& loop,
     copt.chunk_bytes = chunk_bytes;
     const analysis::Certificate cert = analysis::certify(loop.spec(), copt);
     if (cert.certifies_staging(workers)) {
-      if (certified != nullptr) *certified = cert.certified_operands(workers);
-      return rt::PreflightGate::proven();
+      Proof proof{std::nullopt, cert.certified_operands(workers)};
+      if (certified != nullptr) *certified = proof.certified;
+      return proof;
     }
   }
-  return rt::PreflightGate::refused(std::move(reason));
+  return Proof{std::move(reason), {}};
 }
 
 }  // namespace casc::exec

@@ -16,21 +16,20 @@
 //     the first exception on the calling thread once the pool has quiesced.
 //     No std::terminate, no wedged pool: the executor is reusable for the
 //     next run().
-//   * Helper-phase faults are fail-soft by default (Resilience::fail_soft):
-//     helpers are purely speculative, so a helper that throws or stalls past
-//     Resilience::helper_stall_grace costs only its speculation.  The faulty
-//     worker's helper is backed off and retried (bounded, exponential), then
-//     quarantined; any chunk it fails to execute in time is reclaimed and
-//     executed in-place by whichever worker is awaiting the token, on the
-//     unstaged fallback path, preserving bit-identity.  The run completes
-//     with RunStats::degraded() true instead of throwing.
+//   * Helper-phase faults are fail-soft: helpers are purely speculative, so
+//     a helper that throws or stalls past kHelperStallGrace costs only its
+//     speculation.  The faulty worker's helper is backed off and retried
+//     (bounded, exponential), then quarantined after kMaxHelperFaults; any
+//     chunk it fails to execute in time is reclaimed and executed in-place by
+//     whichever worker is awaiting the token, on the unstaged fallback path,
+//     preserving bit-identity.  The run completes with RunStats::degraded()
+//     true instead of throwing.
 //   * An optional per-run watchdog deadline (ExecutorConfig::watchdog)
 //     bounds how long run() will let the cascade make no progress; on expiry
 //     the cascade is aborted, a CascadeStateDump is captured, and run()
 //     throws WatchdogExpired carrying that dump.  Soft budgets
-//     (Resilience::demote_helpers_after / go_sequential_after) act earlier:
-//     they demote the run to fewer helpers or pure sequential instead of
-//     killing it.
+//     (set_soft_budget()) act earlier: they demote the run to fewer helpers
+//     or pure sequential instead of killing it.
 //   * After a failed run, last_run_stats() is still valid and records the
 //     abort (aborted / chunks_executed / first_failed_chunk).
 #pragma once
@@ -50,7 +49,6 @@
 #include "casc/common/align.hpp"
 #include "casc/common/first_error.hpp"
 #include "casc/rt/function_ref.hpp"
-#include "casc/rt/preflight.hpp"
 #include "casc/rt/state_dump.hpp"
 #include "casc/rt/token.hpp"
 #include "casc/telemetry/event_log.hpp"
@@ -77,42 +75,13 @@ using HelperFn =
 using ExecRef = FunctionRef<void(std::uint64_t, std::uint64_t)>;
 using HelperRef = FunctionRef<bool(std::uint64_t, std::uint64_t, const TokenWatch&)>;
 
-/// How workers wait for the token (see token.hpp for the tier mechanics).
-enum class WaitMode : std::uint8_t {
-  /// Park when num_threads exceeds hardware_concurrency, pure spin/yield
-  /// otherwise — the right choice unless you are benchmarking the tiers.
-  kAuto,
-  /// Never park: the pre-parking spin/yield loop.  Lowest hand-off latency
-  /// when every worker owns a core; actively harmful oversubscribed.
-  kSpin,
-  /// Always fall through to the futex tier after the spin/yield budget.
-  kPark,
-};
-
-/// Fail-soft policy: how the executor degrades instead of aborting when
-/// helpers misbehave.  Execution-phase faults are always fail-stop — the
-/// exec phase IS the computation, so its exceptions must reach the caller.
-struct Resilience {
-  /// Master switch.  When false every fault path reverts to PR 1's fail-stop
-  /// protocol: any worker exception aborts the cascade and rethrows.
-  bool fail_soft = true;
-  /// Helper faults tolerated per worker before its helper is permanently
-  /// quarantined for the rest of the run (it still executes its own chunks).
-  unsigned max_helper_faults = 3;
-  /// How long a token-awaiting worker lets the token sit on a chunk whose
-  /// owner is stuck in a helper before reclaiming the chunk and executing it
-  /// itself.  Also the stall fault charged to the stuck owner.
-  std::chrono::milliseconds helper_stall_grace{25};
-  /// Base backoff after a helper fault; doubles per consecutive fault
-  /// (capped), so transient faults retry quickly and repeat offenders wait.
-  std::chrono::milliseconds retry_backoff{1};
-  /// Soft wall-clock budgets (0 = disabled): once a run has been in flight
-  /// this long it is demoted live to level 1 (no helpers) respectively
-  /// level 2 (pure sequential on the calling thread).  Callers derive these
-  /// from the analytic model's sequential estimate (see set_soft_budget()).
-  std::chrono::milliseconds demote_helpers_after{0};
-  std::chrono::milliseconds go_sequential_after{0};
-};
+/// Helper faults tolerated per worker before its helper is quarantined for
+/// the rest of the run (the worker still executes its own chunks).
+inline constexpr unsigned kMaxHelperFaults = 3;
+/// How long a token-awaiting worker lets the token sit on a chunk whose owner
+/// is stuck in a helper before reclaiming the chunk and executing it itself.
+/// Also the stall fault charged to the stuck owner.
+inline constexpr std::chrono::milliseconds kHelperStallGrace{25};
 
 /// What the in-flight execution phase needs to know about how it got the
 /// chunk.  Published to the executing thread only (serialized by the token),
@@ -131,7 +100,8 @@ struct ExecContext {
 /// Pool/behaviour configuration.
 struct ExecutorConfig {
   /// Worker count (the calling thread is one of them); 0 means
-  /// hardware_concurrency.
+  /// hardware_concurrency.  Waiting workers park in the token's futex tier
+  /// iff num_threads exceeds hardware_concurrency (token.hpp).
   unsigned num_threads = 0;
   /// Explicit affinity list: worker i is pinned to cpus[i % cpus.size()]
   /// (best-effort; Linux only, ignored elsewhere or on failure).  This is how
@@ -151,12 +121,9 @@ struct ExecutorConfig {
   /// the instrumentation into a single never-taken branch on the hot path.
   /// The events also surface in snapshot()/render() failure dumps.
   telemetry::EventLog* event_log = nullptr;
-  /// Token wait policy.  kAuto parks oversubscribed workers in the futex
-  /// tier (threads > cores) and keeps the threads <= cores fast path
-  /// pure-spin; kSpin/kPark force one behaviour for ablations.
-  WaitMode wait_mode = WaitMode::kAuto;
-  /// Fail-soft degradation policy (see struct Resilience above).
-  Resilience resilience;
+  /// Base backoff after a helper fault; doubles per consecutive fault
+  /// (capped), so transient faults retry quickly and repeat offenders wait.
+  std::chrono::milliseconds retry_backoff{1};
 };
 
 /// Statistics from the most recent run() — including a failed one.
@@ -189,11 +156,6 @@ struct RunStats {
            stagings_invalidated != 0 || workers_quarantined != 0 ||
            demotion_level != 0;
   }
-  /// True when a gated run() dropped its restructuring helper because the
-  /// PreflightGate was a refusal; preflight_diag carries the rendered
-  /// diagnostic explaining why.
-  bool preflight_refused = false;
-  std::string preflight_diag;
 };
 
 /// Thrown by run() when the watchdog deadline expires; carries the cascade
@@ -233,16 +195,6 @@ class CascadeExecutor {
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
            HelperRef helper = nullptr);
 
-  /// Gated variant for restructuring helpers: `helper` stages operand values
-  /// early, which is only sequentially correct when every staged operand is
-  /// read-only over the whole loop.  The gate carries that proof (or a
-  /// refusal) from casc::analysis.  On a refusal the helper is dropped — the
-  /// cascade still runs, execution-phase results are identical, and the
-  /// refusal is recorded in last_run_stats()
-  /// (preflight_refused / preflight_diag).
-  void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
-           HelperRef helper, const PreflightGate& gate);
-
   /// Number of workers (including the calling thread).
   [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }
 
@@ -252,14 +204,14 @@ class CascadeExecutor {
   [[nodiscard]] const RunStats& last_run_stats() const noexcept { return stats_; }
 
   /// Sets the soft wall-clock budgets for subsequent runs (persists until
-  /// changed): demote to no-helpers after `demote_helpers_after`, to pure
-  /// sequential after `go_sequential_after` (0 disables either rung).
+  /// changed): demote to no-helpers after `demote_after`, to pure
+  /// sequential after `sequential_after` (0 disables either rung).
   /// Callers typically derive these from the analytic model's sequential
   /// estimate — the runtime itself stays analysis-free.
-  void set_soft_budget(std::chrono::milliseconds demote_helpers_after,
-                       std::chrono::milliseconds go_sequential_after) noexcept {
-    resilience_.demote_helpers_after = demote_helpers_after;
-    resilience_.go_sequential_after = go_sequential_after;
+  void set_soft_budget(std::chrono::milliseconds demote_after,
+                       std::chrono::milliseconds sequential_after) noexcept {
+    demote_after_ = demote_after;
+    sequential_after_ = sequential_after;
   }
 
   /// Context of the execution phase in flight on the calling thread.  Valid
@@ -362,7 +314,6 @@ class CascadeExecutor {
   unsigned num_threads_;
   unsigned cores_ = 1;  ///< hardware_concurrency, cached at construction
   std::string name_;    ///< ExecutorConfig::name
-  WaitMode wait_mode_ = WaitMode::kAuto;
   telemetry::EventLog* log_ = nullptr;  ///< ExecutorConfig::event_log
   std::vector<std::thread> pool_;
 
@@ -394,7 +345,9 @@ class CascadeExecutor {
 
   // Fail-soft state.  The per-run flags are set once in run() before workers
   // start and read-only during the run.
-  Resilience resilience_;
+  std::chrono::milliseconds retry_backoff_{1};  ///< ExecutorConfig::retry_backoff
+  std::chrono::milliseconds demote_after_{0};  ///< set_soft_budget()
+  std::chrono::milliseconds sequential_after_{0};
   bool rescue_enabled_ = false;  ///< claims + reclamation active this run
   bool budget_enabled_ = false;  ///< soft demotion budgets active this run
   bool demote_at_set_ = false;

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "casc/common/diagnostic.hpp"
+#include "casc/exec/bridge.hpp"
 
 namespace casc::svc {
 
@@ -107,7 +108,9 @@ enum class IoStatus : std::uint8_t {
 
 // ---- submit ---------------------------------------------------------------
 
-enum class HelperMode : std::uint8_t { kNone, kPrefetch, kRestructure };
+/// The exec bridge's helper mode; on the wire it is the strings "none",
+/// "prefetch" and "restructure".
+using HelperMode = exec::HelperMode;
 
 [[nodiscard]] const char* to_string(HelperMode mode) noexcept;
 

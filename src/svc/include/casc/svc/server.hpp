@@ -13,7 +13,7 @@
 // to the contiguous CPU slice [s*threads_per_shard, (s+1)*threads_per_shard)
 // (mod the machine), so rings do not migrate onto each other's cores.
 //
-// Fail-soft: each shard's executor runs the PR 6 Resilience policy, so
+// Fail-soft: each shard's executor absorbs helper faults (rt/executor.hpp), so
 // helper-site faults (including per-job seeded chaos) degrade instead of
 // aborting.  If a job still escapes with an exception (an exec-phase fault
 // or internal error), the job is answered with svc-job-failed and charged to

@@ -20,19 +20,6 @@
 
 namespace casc::svc {
 
-namespace {
-
-exec::HelperMode to_exec(HelperMode mode) noexcept {
-  switch (mode) {
-    case HelperMode::kNone: return exec::HelperMode::kNone;
-    case HelperMode::kPrefetch: return exec::HelperMode::kPrefetch;
-    case HelperMode::kRestructure: return exec::HelperMode::kRestructure;
-  }
-  return exec::HelperMode::kRestructure;
-}
-
-}  // namespace
-
 // One accepted connection.  The fd is owned by this struct and closed when
 // the last shared_ptr drops — job reply hooks hold references, so a client
 // that disconnects with jobs in flight keeps the fd alive (writes to it just
@@ -399,7 +386,7 @@ bool SvcServer::execute_job(unsigned shard_id, exec::LoopPool& pool,
     exec::LoopLease lease = pool.acquire(job.spec, job.request.spec_text);
 
     exec::RtOptions opt;
-    opt.helper = to_exec(job.request.helper);
+    opt.helper = job.request.helper;
     opt.chunk_bytes = job.request.chunk_bytes != 0 ? job.request.chunk_bytes
                                                    : config_.default_chunk_bytes;
     rt::ChaosPlan chaos_plan;

@@ -125,7 +125,7 @@ TEST(ExecBridge, NonDefaultChunkGeometryStillMatches) {
 TEST(ExecBridge, SafeSpecStagesAndRunsGated) {
   exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
   EXPECT_TRUE(loop.demoted_claims().empty());
-  EXPECT_TRUE(exec::gate_for(loop, 64 * 1024, 2, nullptr).allow_restructure());
+  EXPECT_TRUE(exec::gate_for(loop, 64 * 1024, 2, nullptr).proven());
   rt::ExecutorConfig cfg;
   cfg.num_threads = 2;
   rt::CascadeExecutor executor(cfg);
@@ -149,7 +149,7 @@ TEST(ExecBridge, CertifiedDisjointGatherStagesDespiteFalseClaim) {
   // ...but the certificate-aware gate proves it for any ring.
   std::vector<std::string> certified;
   EXPECT_TRUE(
-      exec::gate_for(loop, 64 * 1024, 4, &certified).allow_restructure());
+      exec::gate_for(loop, 64 * 1024, 4, &certified).proven());
   EXPECT_NE(std::find(certified.begin(), certified.end(), "t"),
             certified.end());
 
@@ -193,7 +193,7 @@ TEST(ExecBridge, UnsafeSpecRefusesRestructureButStaysCorrect) {
   EXPECT_EQ(loop.demoted_claims(), std::vector<std::string>{"y"});
   // ...and refuses the restructure gate (the verifier judges the ORIGINAL
   // claims, not the sanitized nest).
-  EXPECT_FALSE(exec::gate_for(loop, 64 * 1024, 2, nullptr).allow_restructure());
+  EXPECT_FALSE(exec::gate_for(loop, 64 * 1024, 2, nullptr).proven());
 
   const exec::ExecResult ref = exec::run_reference(loop);
   rt::ExecutorConfig cfg;
@@ -255,7 +255,7 @@ TEST(ExecBridgeChaos, AnyChaosScheduleMatchesReferenceBitForBit) {
       cfg.num_threads = threads;
       // Retry instantly: these runs are far shorter than a real backoff, and
       // the repeat faults drive workers into quarantine and reclamation.
-      cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+      cfg.retry_backoff = std::chrono::milliseconds(0);
       rt::CascadeExecutor executor(cfg);
       for (const exec::HelperMode mode :
            {exec::HelperMode::kNone, exec::HelperMode::kPrefetch,
@@ -282,6 +282,46 @@ TEST(ExecBridgeChaos, AnyChaosScheduleMatchesReferenceBitForBit) {
           if (got.helper_faults > 0) EXPECT_TRUE(got.degraded);
         }
       }
+    }
+  }
+}
+
+TEST(ExecBridgeChaos, StagedChunksCountOnlyChunksThatRanStaged) {
+  // A corrupt-staging fault commits its chunk's staging and then throws.
+  // From then on the faulty worker's chunks run from the arrays
+  // (staging_invalid), and a quarantined worker's chunks are reclaimed by
+  // another thread; none of them consumed staged values, so none may count
+  // in staged_chunks even though their commit flags may be set.
+  exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  for (const unsigned threads : {2u, 4u}) {
+    rt::ExecutorConfig cfg;
+    cfg.num_threads = threads;
+    cfg.retry_backoff = std::chrono::milliseconds(0);
+    rt::CascadeExecutor executor(cfg);
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      exec::RtOptions opt;
+      opt.helper = exec::HelperMode::kRestructure;
+      opt.iters_per_chunk = 256;
+      const std::uint64_t chunks =
+          (loop.num_iterations() + opt.iters_per_chunk - 1) / opt.iters_per_chunk;
+      rt::ChaosOptions chaos_opt;
+      chaos_opt.fault_rate = 0.1;
+      chaos_opt.allow_throw = false;
+      chaos_opt.allow_stall = false;
+      const rt::ChaosPlan plan =
+          rt::ChaosPlan::make(seed, chunks, opt.iters_per_chunk, chaos_opt);
+      opt.chaos = &plan;
+      const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+      const std::string where =
+          "threads=" + std::to_string(threads) + " seed=" + std::to_string(seed);
+      EXPECT_EQ(got.digest, ref.digest) << where;
+      EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << where;
+      EXPECT_LE(got.staged_chunks + got.stagings_invalidated + got.chunks_reclaimed,
+                got.num_chunks)
+          << where << " staged=" << got.staged_chunks
+          << " invalidated=" << got.stagings_invalidated
+          << " reclaimed=" << got.chunks_reclaimed;
     }
   }
 }
@@ -385,8 +425,8 @@ TEST(ExecBridgeProof, ChangedChunkBytesOrWorkerCountReproves) {
 
 TEST(ExecBridgeProof, RefusedProofStaysRefusedOnTheCachedPath) {
   exec::MaterializedLoop loop(load_spec("unsafe_seeded.casc"));
-  const rt::PreflightGate fresh = exec::gate_for(loop, 64 * 1024, 2, nullptr);
-  ASSERT_FALSE(fresh.allow_restructure());
+  const exec::Proof fresh = exec::gate_for(loop, 64 * 1024, 2, nullptr);
+  ASSERT_FALSE(fresh.proven());
 
   const exec::ExecResult ref = exec::run_reference(loop);
   rt::ExecutorConfig cfg;
@@ -407,12 +447,13 @@ TEST(ExecBridgeProof, RefusedProofStaysRefusedOnTheCachedPath) {
   double seconds = -1.0;
   const exec::Proof& cached = loop.proof(64 * 1024, 2, &seconds);
   EXPECT_EQ(seconds, 0.0);
-  EXPECT_FALSE(cached.gate.allow_restructure());
+  ASSERT_FALSE(cached.proven());
   EXPECT_TRUE(cached.certified.empty());
-  EXPECT_EQ(cached.gate.reason().rule, fresh.reason().rule);
-  EXPECT_EQ(cached.gate.reason().message, fresh.reason().message);
-  EXPECT_EQ(common::render_text(cached.gate.reason()),
-            common::render_text(fresh.reason()));
+  EXPECT_EQ(cached.refusal->rule, fresh.refusal->rule);
+  EXPECT_EQ(cached.refusal->message, fresh.refusal->message);
+  EXPECT_EQ(common::render_text(*cached.refusal),
+            common::render_text(*fresh.refusal));
+  EXPECT_EQ(first.preflight_diag, common::render_text(*fresh.refusal));
 }
 
 /// Every single-loop spec committed under tests/specs and examples/specs, as
@@ -445,17 +486,19 @@ TEST_P(ExecBridgeProofParity, CachedProofEqualsAFreshGate) {
       EXPECT_EQ(seconds, 0.0);
 
       std::vector<std::string> certified{"not-an-operand"};
-      const rt::PreflightGate fresh =
+      const exec::Proof fresh =
           exec::gate_for(loop, chunk_bytes, workers, &certified);
       const std::string key = " workers=" + std::to_string(workers) +
                               " chunk_bytes=" + std::to_string(chunk_bytes);
-      EXPECT_EQ(cached.gate.allow_restructure(), fresh.allow_restructure())
-          << key;
+      ASSERT_EQ(cached.proven(), fresh.proven()) << key;
       EXPECT_EQ(cached.certified, certified) << key;
-      EXPECT_EQ(cached.gate.reason().severity, fresh.reason().severity) << key;
-      EXPECT_EQ(common::render_text(cached.gate.reason()),
-                common::render_text(fresh.reason()))
-          << key;
+      EXPECT_EQ(fresh.certified, certified) << key;
+      if (!fresh.proven()) {
+        EXPECT_EQ(cached.refusal->severity, fresh.refusal->severity) << key;
+        EXPECT_EQ(common::render_text(*cached.refusal),
+                  common::render_text(*fresh.refusal))
+            << key;
+      }
     }
   }
 }

@@ -27,10 +27,30 @@ using casc::rt::ExecutorConfig;
 using casc::rt::FaultPlan;
 using casc::rt::RunStats;
 using casc::rt::TokenWatch;
+using casc::rt::kMaxHelperFaults;
 
 constexpr std::uint64_t kIters = 1000;
 constexpr std::uint64_t kChunkIters = 50;  // 20 chunks
 constexpr std::uint64_t kChunks = kIters / kChunkIters;
+
+/// A pool whose faulted helpers retry on their next chunk, so a worker whose
+/// helper throws on every chunk it owns reaches the kMaxHelperFaults
+/// quarantine cap within one 20-chunk run.
+ExecutorConfig retry_at_once(unsigned threads) {
+  ExecutorConfig config{threads};
+  config.retry_backoff = std::chrono::milliseconds(0);
+  return config;
+}
+
+/// An execution phase slow enough (~100 us per chunk) that the other
+/// worker's helper starts before the token reaches its chunk, so helper
+/// faults reliably fire.
+auto fill_slowly(std::vector<std::uint64_t>& out) {
+  return [&out](std::uint64_t b, std::uint64_t e) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
+  };
+}
 
 /// A helper that throws on every chunk owned by `worker` (chunk mod P).
 casc::rt::HelperFn throw_for_worker(unsigned worker, unsigned num_threads) {
@@ -53,19 +73,12 @@ void expect_complete_and_correct(CascadeExecutor& ex,
 }
 
 TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
-  ExecutorConfig config{2};
-  config.resilience.max_helper_faults = 1;  // first strike quarantines
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(2));
   std::vector<std::uint64_t> out(kIters, 0);
-  ex.run(
-      kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
-      throw_for_worker(1, 2));
+  ex.run(kIters, kChunkIters, fill_slowly(out), throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
   const RunStats& stats = ex.last_run_stats();
-  if (stats.helper_faults > 0) {
+  if (stats.helper_faults >= kMaxHelperFaults) {
     EXPECT_EQ(stats.workers_quarantined, 1u);
     EXPECT_TRUE(stats.degraded());
     // The quarantined worker detached; the chunks it never executed were
@@ -84,19 +97,12 @@ TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
 TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
   // Worker 0 is the cascade's completion guarantee and never leaves it: its
   // quarantine disables its helper, nothing else.
-  ExecutorConfig config{2};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(2));
   std::vector<std::uint64_t> out(kIters, 0);
-  ex.run(
-      kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
-      throw_for_worker(0, 2));
+  ex.run(kIters, kChunkIters, fill_slowly(out), throw_for_worker(0, 2));
   expect_complete_and_correct(ex, out);
   const RunStats& stats = ex.last_run_stats();
-  if (stats.helper_faults > 0) {
+  if (stats.helper_faults >= kMaxHelperFaults) {
     EXPECT_EQ(stats.workers_quarantined, 1u);
   }
 }
@@ -104,9 +110,7 @@ TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
 TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
   // P == 1: worker 0 is the whole cascade.  Its helper faulting must not
   // abort anything — the helper is disabled, execution continues in-line.
-  ExecutorConfig config{1};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(1));
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
       kIters, kChunkIters,
@@ -118,10 +122,7 @@ TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
 }
 
 TEST(Retry, FaultedHelperIsRetriedAfterBackoff) {
-  ExecutorConfig config{2};
-  config.resilience.max_helper_faults = 10;
-  config.resilience.retry_backoff = std::chrono::milliseconds(0);  // instant
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(2));
   std::atomic<bool> armed{true};
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
@@ -173,9 +174,7 @@ TEST(Demotion, SoftBudgetDemotesAndStillCompletes) {
 }
 
 TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
-  ExecutorConfig config{2};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(2));
   std::vector<char> reclaimed(kChunks, 0);
   std::vector<char> distrusted(kChunks, 0);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -186,7 +185,7 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
         const std::uint64_t c = b / kChunkIters;
         reclaimed[c] = ctx.reclaimed ? 1 : 0;
         distrusted[c] = ctx.staging_invalid ? 1 : 0;
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
+        fill_slowly(out)(b, e);
       },
       throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
@@ -202,16 +201,9 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
 }
 
 TEST(StateDumpDegradation, SnapshotAndRenderCarryDegradationCounters) {
-  ExecutorConfig config{2};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(retry_at_once(2));
   std::vector<std::uint64_t> out(kIters, 0);
-  ex.run(
-      kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
-      throw_for_worker(1, 2));
+  ex.run(kIters, kChunkIters, fill_slowly(out), throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
   const CascadeStateDump dump = ex.snapshot();
   const RunStats& stats = ex.last_run_stats();

@@ -2,13 +2,12 @@
 // fail-stop: an exception or stall in the main line of control must abort
 // the cascade, propagate to the calling thread, and leave the executor
 // reusable — never std::terminate, never a wedged pool.  Helper-phase faults
-// are fail-soft by default: absorbed via backoff/quarantine/reclamation with
-// the run completing normally (Resilience::fail_soft = false restores the
-// legacy fail-stop helper contract, tested here too).  All tests must pass
-// on any core count (including a single-core host), so they assert protocol
-// outcomes, not wall-clock timing.
+// are fail-soft: absorbed via backoff/quarantine/reclamation with the run
+// completing normally.  All tests must pass on any core count (including a
+// single-core host), so they assert protocol outcomes, not wall-clock timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -33,7 +32,6 @@ using casc::rt::InjectedFault;
 using casc::rt::RunStats;
 using casc::rt::Token;
 using casc::rt::TokenWatch;
-using casc::rt::WaitMode;
 using casc::rt::WatchdogExpired;
 using casc::rt::WorkerPhase;
 
@@ -52,6 +50,20 @@ void expect_successful_run(CascadeExecutor& ex) {
   EXPECT_FALSE(stats.aborted);
   EXPECT_EQ(stats.chunks_executed, kChunks);
   EXPECT_EQ(stats.first_failed_chunk, RunStats::kNoFailedChunk);
+}
+
+/// Reuse check for an executor whose watchdog is shorter than a 20-chunk
+/// run may take on a loaded host: one chunk, executed by the calling thread
+/// right after run() starts, and the done-waiter never fails a cascade whose
+/// protocol completed.
+void expect_reusable_after_watchdog(CascadeExecutor& ex) {
+  std::vector<std::uint64_t> out(kChunkIters, 0);
+  ex.run(kChunkIters, kChunkIters, [&](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
+  });
+  for (std::uint64_t i = 0; i < kChunkIters; ++i) ASSERT_EQ(out[i], i + 1);
+  EXPECT_FALSE(ex.last_run_stats().aborted);
+  EXPECT_EQ(ex.last_run_stats().chunks_executed, 1u);
 }
 
 // ---- abort primitives ------------------------------------------------------
@@ -131,36 +143,6 @@ TEST_P(FaultThreads, HelperThrowIsAbsorbedFailSoft) {
   expect_successful_run(ex);
 }
 
-TEST_P(FaultThreads, HelperThrowRethrownOnCallingThreadLegacy) {
-  // fail_soft = false restores the historical fail-stop helper contract.
-  ExecutorConfig config{GetParam()};
-  config.resilience.fail_soft = false;
-  CascadeExecutor ex(config);
-  // Helpers for early chunks may be skipped (token already arrived), in
-  // which case the fault never fires and the run succeeds — also fine.  Use
-  // a late chunk so on multi-thread runs the helper reliably starts early.
-  const std::uint64_t failing = kChunks - 1;
-  const FaultPlan plan = FaultPlan::throw_in_helper(failing, kChunkIters);
-  bool threw = false;
-  try {
-    ex.run(
-        kIters, kChunkIters, [](std::uint64_t, std::uint64_t) {},
-        plan.arm([](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; }));
-  } catch (const InjectedFault& e) {
-    threw = true;
-    EXPECT_EQ(e.chunk(), failing);
-    EXPECT_TRUE(ex.last_run_stats().aborted);
-    EXPECT_EQ(ex.last_run_stats().first_failed_chunk, failing);
-  }
-  if (!threw) {
-    // The helper was skipped everywhere it could have fired; the run must
-    // then have completed normally.
-    EXPECT_FALSE(ex.last_run_stats().aborted);
-    EXPECT_EQ(ex.last_run_stats().chunks_executed, kChunks);
-  }
-  expect_successful_run(ex);
-}
-
 TEST_P(FaultThreads, ArbitraryExceptionTypesPropagate) {
   CascadeExecutor ex(ExecutorConfig{GetParam()});
   EXPECT_THROW(ex.run(kIters, kChunkIters,
@@ -234,10 +216,10 @@ TEST(Watchdog, SingleThreadStallIsStillCaught) {
 
 TEST(Watchdog, StalledHelperIgnoringJumpOutIsCaught) {
   ExecutorConfig config{2};
-  config.watchdog = std::chrono::milliseconds(80);
-  // Legacy fail-stop helpers: with fail-soft on, the stalled chunk would be
-  // reclaimed and the watchdog would (correctly) never fire.
-  config.resilience.fail_soft = false;
+  // A deadline shorter than the stall grace: the watchdog expires before any
+  // waiter may reclaim the wedged chunk (with a longer one the chunk would be
+  // reclaimed and the watchdog would, correctly, never fire).
+  config.watchdog = casc::rt::kHelperStallGrace / 2;
   CascadeExecutor ex(config);
   // A helper that ignores jump-out wedges its own chunk's execution phase
   // (helper and exec share a thread): the token chain stops in front of it.
@@ -254,7 +236,7 @@ TEST(Watchdog, StalledHelperIgnoringJumpOutIsCaught) {
   } catch (const WatchdogExpired&) {
     EXPECT_TRUE(ex.last_run_stats().aborted);
   }
-  expect_successful_run(ex);
+  expect_reusable_after_watchdog(ex);
 }
 
 TEST(Watchdog, StalledHelperIsRescuedFailSoft) {
@@ -280,14 +262,19 @@ TEST(Watchdog, StalledHelperIsRescuedFailSoft) {
   expect_successful_run(ex);
 }
 
+/// Twice as many workers as cores: waiters park in the futex tier.
+unsigned oversubscribed_threads() {
+  return 2 * std::max(1u, std::thread::hardware_concurrency());
+}
+
 TEST(Watchdog, ParkedStallInHelperStillProducesDump) {
-  // Futex-parked waiters must not blind the watchdog: a stalled fail-stop
-  // helper under WaitMode::kPark still expires the deadline, and the dump
-  // captured at expiry covers every worker (including the parked ones).
-  ExecutorConfig config{4};
-  config.watchdog = std::chrono::milliseconds(80);
-  config.wait_mode = WaitMode::kPark;
-  config.resilience.fail_soft = false;
+  // Futex-parked waiters must not blind the watchdog: a stalled helper in an
+  // oversubscribed (parking) ring still expires a deadline shorter than the
+  // stall grace, and the dump captured at expiry covers every worker
+  // (including the parked ones).
+  const unsigned threads = oversubscribed_threads();
+  ExecutorConfig config{threads};
+  config.watchdog = casc::rt::kHelperStallGrace / 2;
   CascadeExecutor ex(config);
   const FaultPlan plan = FaultPlan::stall_in_helper(
       2, kChunkIters, std::chrono::milliseconds(400), /*honor_jump_out=*/false);
@@ -302,19 +289,19 @@ TEST(Watchdog, ParkedStallInHelperStillProducesDump) {
   } catch (const WatchdogExpired& e) {
     const CascadeStateDump& dump = e.dump();
     EXPECT_TRUE(dump.watchdog_expired);
-    EXPECT_EQ(dump.workers.size(), 4u);
+    EXPECT_EQ(dump.workers.size(), threads);
     EXPECT_LT(dump.token, kChunks);
     EXPECT_TRUE(ex.last_run_stats().aborted);
   }
-  expect_successful_run(ex);
+  expect_reusable_after_watchdog(ex);
 }
 
 TEST(Watchdog, ParkedStallInHelperIsRescuedFailSoft) {
-  // Same parked setup with fail-soft on: the wedged chunk is reclaimed and
-  // the cascade completes without the watchdog firing.
-  ExecutorConfig config{4};
+  // Same parked setup with a generous deadline: the wedged chunk is
+  // reclaimed after the stall grace and the cascade completes without the
+  // watchdog firing.
+  ExecutorConfig config{oversubscribed_threads()};
   config.watchdog = std::chrono::milliseconds(5000);
-  config.wait_mode = WaitMode::kPark;
   CascadeExecutor ex(config);
   const FaultPlan plan = FaultPlan::stall_in_helper(
       2, kChunkIters, std::chrono::milliseconds(150), /*honor_jump_out=*/false);

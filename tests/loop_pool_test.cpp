@@ -302,7 +302,7 @@ TEST(LoopPool, RestageDoesNotLeakAcrossProofKeys) {
 
       exec::MaterializedLoop fresh(lspec);
       const bool allowed =
-          fresh.proof(key.chunk_bytes, key.workers).gate.allow_restructure();
+          fresh.proof(key.chunk_bytes, key.workers).proven();
       EXPECT_EQ(got.preflight_refused, !allowed) << where;
       ++(allowed ? proven : refused);
       expect_same_staging(lease.loop(), fresh, where);

@@ -59,7 +59,7 @@ std::uint64_t drive(unsigned id, unsigned runs, bool pin, bool chaos,
       cfg.cpus.push_back((id * kThreadsEach + k) % ncpu);
     }
   }
-  cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+  cfg.retry_backoff = std::chrono::milliseconds(0);
   rt::CascadeExecutor executor(cfg);
   exec::MaterializedLoop loop(loopir::LoopSpec::parse(kSpec));
 

@@ -403,7 +403,7 @@ TEST_P(PipelineStageProof, StrictAndCertificateAwareVerdictsAgree) {
     const bool strict = analysis::analyze(stage.spec()).restructure_eligible;
     for (const std::uint64_t workers : {1u, 2u, 4u}) {
       const exec::Proof& proof = stage.proof(64 * 1024, workers);
-      EXPECT_EQ(proof.gate.allow_restructure(), strict)
+      EXPECT_EQ(proof.proven(), strict)
           << spec.name << " stage " << k << " workers=" << workers;
       EXPECT_TRUE(proof.certified.empty())
           << spec.name << " stage " << k << " workers=" << workers;
@@ -443,7 +443,7 @@ TEST(PipelineExecChaos, ChaosMatchesReferenceAndDegradedGathersAreNotReplayed) {
       rt::ExecutorConfig cfg;
       cfg.num_threads = threads;
       // Retry instantly so repeat faults reach quarantine and reclamation.
-      cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+      cfg.retry_backoff = std::chrono::milliseconds(0);
       rt::CascadeExecutor executor(cfg);
       for (const std::uint64_t seed : {1u, 2u, 3u}) {
         rt::ChaosOptions chaos_opt;

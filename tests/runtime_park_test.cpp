@@ -1,9 +1,9 @@
-// Tests for the token's futex parking tier and the executor's WaitMode
-// plumbing.  The interesting regime is oversubscription — more workers than
-// cores — where a spinning waiter steals scheduler slices from the token
-// holder; on the CI box (a single core) every multi-thread cascade is in that
-// regime.  These tests force each mode explicitly so they are meaningful on
-// any machine.
+// Tests for the token's futex parking tier and the executor's parking rule
+// (park iff num_threads > hardware_concurrency).  The interesting regime is
+// oversubscription — more workers than cores — where a spinning waiter
+// steals scheduler slices from the token holder.  The executor tests size
+// their rings from the core count, so each lands on the intended side of the
+// rule on any machine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,13 +22,10 @@ namespace {
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
 using casc::rt::Token;
-using casc::rt::WaitMode;
 
-ExecutorConfig config_with_mode(unsigned threads, WaitMode mode) {
-  ExecutorConfig config;
-  config.num_threads = threads;
-  config.wait_mode = mode;
-  return config;
+/// `factor` workers per core: factor > 1 parks, factor == 1 spins.
+unsigned threads_per_core(unsigned factor) {
+  return factor * std::max(1u, std::thread::hardware_concurrency());
 }
 
 // ---- Token-level parking protocol -------------------------------------------
@@ -102,11 +99,10 @@ TEST(TokenPark, SpinModeStillCompletes) {
 
 // ---- Executor-level oversubscription ----------------------------------------
 
-/// Runs a cascade at 4x oversubscription in the given mode and checks the
-/// results are exactly the sequential loop's.
-void oversubscribed_run(WaitMode mode) {
-  const unsigned threads = 4 * std::max(1u, std::thread::hardware_concurrency());
-  CascadeExecutor ex(config_with_mode(threads, mode));
+/// Runs a cascade on `threads` workers and checks the results are exactly
+/// the sequential loop's.
+void cascade_run(unsigned threads) {
+  CascadeExecutor ex(ExecutorConfig{threads});
   const std::uint64_t n = 20000;
   std::vector<std::uint64_t> got(n, 0);
   ex.run(n, 64, [&](std::uint64_t b, std::uint64_t e) {
@@ -119,22 +115,17 @@ void oversubscribed_run(WaitMode mode) {
 }
 
 TEST(OversubscribedCascade, ParkModeCompletesCorrectly) {
-  oversubscribed_run(WaitMode::kPark);
+  cascade_run(threads_per_core(4));  // 4x oversubscribed: waiters park
 }
 
 TEST(OversubscribedCascade, AutoModeCompletesCorrectly) {
-  oversubscribed_run(WaitMode::kAuto);
-}
-
-TEST(OversubscribedCascade, SpinModeCompletesCorrectly) {
-  oversubscribed_run(WaitMode::kSpin);
+  cascade_run(threads_per_core(1));  // one worker per core: waiters spin
 }
 
 TEST(OversubscribedCascade, ParkModeLoopCarriedDependence) {
   // A loop-carried recurrence at 4x oversubscription: any token mis-ordering
   // introduced by the parking tier would change the final bits.
-  const unsigned threads = 4 * std::max(1u, std::thread::hardware_concurrency());
-  CascadeExecutor ex(config_with_mode(threads, WaitMode::kPark));
+  CascadeExecutor ex(ExecutorConfig{threads_per_core(4)});
   const std::uint64_t n = 10000;
   double want = 0.0;
   for (std::uint64_t i = 0; i < n; ++i) want = want * 0.5 + static_cast<double>(i);
@@ -146,8 +137,7 @@ TEST(OversubscribedCascade, ParkModeLoopCarriedDependence) {
 }
 
 TEST(OversubscribedCascade, ParkModeIsReusable) {
-  const unsigned threads = 2 * std::max(1u, std::thread::hardware_concurrency());
-  CascadeExecutor ex(config_with_mode(threads, WaitMode::kPark));
+  CascadeExecutor ex(ExecutorConfig{threads_per_core(2)});
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::uint64_t> sum{0};
     ex.run(1000, 16, [&](std::uint64_t b, std::uint64_t e) {
@@ -162,8 +152,8 @@ TEST(OversubscribedCascade, ParkModeIsReusable) {
 TEST(OversubscribedCascade, ParkModeWatchdogStillFires) {
   // A parked done-waiter must still notice a wedged cascade: worker 0 blocks
   // past the deadline while every other worker sleeps in the futex tier.
-  const unsigned threads = 4 * std::max(1u, std::thread::hardware_concurrency());
-  auto config = config_with_mode(threads, WaitMode::kPark);
+  const unsigned threads = threads_per_core(4);
+  ExecutorConfig config{threads};
   config.watchdog = std::chrono::milliseconds(80);
   CascadeExecutor ex(config);
   EXPECT_THROW(ex.run(static_cast<std::uint64_t>(threads) * 4, 1,

@@ -10,7 +10,8 @@ The refactored dependency order is strictly one-directional:
 
 The two backends share nothing above common/telemetry: src/cascade/ must not
 include casc/rt/ headers, and src/runtime/ must not include casc/core/ or
-anything above it — the bridge between them is casc::exec.  Pipeline chains follow the
+anything above it, nor casc/common/diagnostic.hpp (the restructure verdict
+lives in casc::exec) — the bridge between them is casc::exec.  Pipeline chains follow the
 same order: loopir owns PipelineSpec, analysis owns the survival/placement
 plan (plan_pipeline), exec owns MaterializedPipeline and the arena runner,
 and svc/tools sit on top.  This script parses every
@@ -52,10 +53,12 @@ FORBIDDEN: dict[str, list[str]] = {
     # The two backends: no cross-inclusion outside the shared core.
     "src/cascade/": ["casc/rt/", "casc/exec/", "casc/svc/"],
     # The rt backend runs opaque lambdas: it needs only common and
-    # telemetry, not even the shared core (ChunkPlan lives above it).
+    # telemetry, not even the shared core (ChunkPlan lives above it).  It
+    # holds no analysis verdict either: the restructure gate is exec's Proof,
+    # so the Diagnostic type stays out of the runtime.
     "src/runtime/": ["casc/core/", "casc/cascade/", "casc/analysis/",
                      "casc/trace/", "casc/loopir/", "casc/sim/", "casc/exec/",
-                     "casc/svc/"],
+                     "casc/svc/", "casc/common/diagnostic.hpp"],
     "src/exec/": ["casc/cascade/", "casc/sim/", "casc/svc/"],
     # The service daemon sits on top of exec/runtime/telemetry; nothing in
     # src/ may depend back on it (tools/ are the only consumers).

@@ -146,7 +146,7 @@ int run_soak(const cli::Args& args) {
   // Retry instantly instead of backing off: these cascades are microseconds
   // long, and a real backoff would let every faulted helper sit out the rest
   // of its run — the quarantine and reclamation paths would never fire.
-  exec_cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+  exec_cfg.retry_backoff = std::chrono::milliseconds(0);
   rt::CascadeExecutor executor(exec_cfg);
 
   // Bridge workloads: materialize once, reference once.
