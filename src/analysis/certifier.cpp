@@ -21,12 +21,20 @@ std::string hex(std::uint64_t value) {
   return buf;
 }
 
-/// One staged byte range and the sorted iterations that read it.
+/// One read of a staged byte range: its position in the whole reference
+/// stream (so a read later in the SAME iteration as a write orders after
+/// it) and its iteration.
+struct StagedRead {
+  std::uint64_t seq = 0;
+  std::uint64_t iter = 0;
+};
+
+/// One staged byte range and the reads of it, in stream order.
 struct StagedRec {
   std::uint64_t addr = 0;
   std::uint32_t size = 0;
   std::size_t operand = 0;  ///< index into Certificate::operands
-  std::vector<std::uint64_t> reads;
+  std::vector<StagedRead> reads;
 };
 
 std::string stale_schedule(const RaceWitness& w) {
@@ -171,8 +179,8 @@ Certificate certify(const loopir::LoopSpec& spec, const trace::Trace& trace,
   };
 
   // Pass 1: collect the staged footprint — every read whose address lands in
-  // a claimed-read-only extent, with the full sorted list of reading
-  // iterations per address.
+  // a claimed-read-only extent, with the full list of reads per address in
+  // reference-stream order.
   std::unordered_map<std::uint64_t, std::size_t> rec_index;
   std::vector<StagedRec> recs;
   std::vector<loopir::Ref> refs;
@@ -180,7 +188,7 @@ Certificate certify(const loopir::LoopSpec& spec, const trace::Trace& trace,
     refs.clear();
     trace.refs_for_iteration(it, refs);
     for (const loopir::Ref& ref : refs) {
-      ++cert.refs;
+      const std::uint64_t seq = cert.refs++;
       if (ref.mem.type == sim::AccessType::kWrite) continue;
       const ArrayClaim* claim = claim_for(ref.mem.addr);
       if (claim == nullptr || !claim->claimed_ro) continue;
@@ -197,7 +205,7 @@ Certificate certify(const loopir::LoopSpec& spec, const trace::Trace& trace,
       }
       StagedRec& rec = recs[slot->second];
       rec.size = std::max(rec.size, ref.mem.size);
-      rec.reads.push_back(it);  // `it` is nondecreasing: list stays sorted
+      rec.reads.push_back({seq, it});  // `seq` increases: the list stays sorted
     }
   }
   for (const StagedRec& rec : recs) {
@@ -209,15 +217,20 @@ Certificate certify(const loopir::LoopSpec& spec, const trace::Trace& trace,
             });
 
   // Pass 2: classify every (write, staged address) pair against the
-  // happens-before order.  Reads strictly before the write are anti pairs
-  // (safe in every schedule); the FIRST read after the write decides the
-  // pair class — its chunk is minimal among later reads, so a same-chunk
-  // hit is stale and otherwise its distance is the binding one.
+  // happens-before order.  Reads before the write in stream order (earlier
+  // iterations, or earlier sites of the write's own iteration) are anti
+  // pairs (safe in every schedule); the FIRST read after the write decides
+  // the pair class — its chunk is minimal among later reads, so a
+  // same-chunk hit (including a later site of the same iteration, which
+  // sequentially sees the write but reads the copy staged before the chunk)
+  // is stale and otherwise its distance is the binding one.
   std::uint64_t min_flow = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t seq = 0;
   for (std::uint64_t it = 0; it < n && !recs.empty(); ++it) {
     refs.clear();
     trace.refs_for_iteration(it, refs);
     for (const loopir::Ref& ref : refs) {
+      const std::uint64_t write_seq = seq++;
       if (ref.mem.type != sim::AccessType::kWrite) continue;
       const std::uint64_t lo = ref.mem.addr;
       const std::uint64_t hi = lo + ref.mem.size;
@@ -228,14 +241,15 @@ Certificate certify(const loopir::LoopSpec& spec, const trace::Trace& trace,
       for (; rec_it != recs.end() && rec_it->addr < hi; ++rec_it) {
         if (rec_it->addr + rec_it->size <= lo) continue;
         OperandCertificate& op = cert.operands[rec_it->operand];
-        auto first_later = std::upper_bound(rec_it->reads.begin(),
-                                            rec_it->reads.end(), it);
+        auto first_later = std::upper_bound(
+            rec_it->reads.begin(), rec_it->reads.end(), write_seq,
+            [](std::uint64_t s, const StagedRead& r) { return s < r.seq; });
         if (first_later != rec_it->reads.begin()) {
           ++cert.anti_pairs;
           ++op.anti_pairs;
         }
         if (first_later == rec_it->reads.end()) continue;
-        const std::uint64_t read_iter = *first_later;
+        const std::uint64_t read_iter = first_later->iter;
         const std::uint64_t wc = it / chunk_iters;
         const std::uint64_t rc = read_iter / chunk_iters;
         RaceWitness w;

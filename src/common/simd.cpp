@@ -53,7 +53,11 @@ __attribute__((target("avx512f"))) void gather_offsets_u64_avx512(
   for (; k + 8 <= n; k += 8) {
     const __m512i vidx =
         _mm512_loadu_si512(reinterpret_cast<const void*>(offsets + k));
-    const __m512i v = _mm512_i64gather_epi64(vidx, base, 1);
+    // The all-lanes masked form is the same full gather; the unmasked
+    // intrinsic's undefined pass-through source trips GCC 12's
+    // -Wmaybe-uninitialized.
+    const __m512i v = _mm512_mask_i64gather_epi64(
+        _mm512_setzero_si512(), static_cast<__mmask8>(0xFF), vidx, base, 1);
     _mm512_storeu_si512(reinterpret_cast<void*>(out + k), v);
   }
   // Masked tail: one gather instead of a scalar loop.

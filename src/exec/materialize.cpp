@@ -240,6 +240,16 @@ Proof gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes,
   if (certified != nullptr) certified->clear();
   analysis::AnalyzeOptions opt;
   opt.chunk_bytes = chunk_bytes;
+  // Static first: a clean static proof (eligible, not even a warning) is the
+  // verdict, with no trace and no shadow replay.  Anything else — a refusal,
+  // or a proof the static passes hedge with a warning such as index-wrap —
+  // takes the full path below, so refusals and certified sets are exactly
+  // what the replay-backed analysis decides.  gate_oracle_test holds the
+  // shortcut to that full path.
+  opt.run_shadow = false;
+  const analysis::AnalysisReport quick = analysis::analyze(loop.spec(), opt);
+  if (quick.restructure_eligible && quick.diags.warnings() == 0) return Proof{};
+  opt.run_shadow = true;
   const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
   if (report.restructure_eligible) return Proof{};
 
@@ -253,7 +263,8 @@ Proof gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes,
   };
   common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
                             "the analysis verifier could not prove the spec "
-                            "restructure-eligible"};
+                            "restructure-eligible",
+                            "", "", 0};
   bool have_reason = false;
   bool only_staging = true;
   for (const common::Diagnostic& diag : report.diags.items()) {

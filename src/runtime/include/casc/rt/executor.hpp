@@ -108,10 +108,10 @@ struct ExecutorConfig {
   /// a multi-executor host — e.g. one casc::svc shard per core partition —
   /// keeps concurrent token rings off each other's cores; empty leaves the
   /// workers unpinned.
-  std::vector<unsigned> cpus;
+  std::vector<unsigned> cpus{};
   /// Label for this executor in state dumps and diagnostics (e.g. a service
   /// shard id).  Empty renders as the anonymous single-executor form.
-  std::string name;
+  std::string name{};
   /// Per-run deadline; once exceeded the cascade is aborted and run() throws
   /// WatchdogExpired.  Zero (the default) disables the watchdog.
   std::chrono::milliseconds watchdog{0};

@@ -18,7 +18,10 @@
 //     resubmit the same specs back to back).
 //
 // Duplicate job ids (per tenant, over the server's lifetime) are rejected at
-// admission so replies are unambiguous.
+// admission so replies are unambiguous.  Each tenant keeps its seen ids as
+// disjoint [lo, hi] ranges (JobIdRanges), so memory grows with the gaps in
+// the id sequence, not with the number of jobs: dense per-connection ids
+// collapse to one range.
 //
 // Thread-safe; every method may be called from any thread.
 #pragma once
@@ -27,10 +30,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "casc/loopir/loop_spec.hpp"
@@ -56,6 +59,19 @@ enum class Admit : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Admit admit) noexcept;
 
+/// A set of job ids stored as sorted, disjoint, non-adjacent [lo, hi]
+/// ranges.  insert() is O(log ranges); adjacent ranges merge on insert.
+class JobIdRanges {
+ public:
+  /// Adds `id` (a no-op when it is already present).
+  void insert(std::uint64_t id);
+  [[nodiscard]] bool contains(std::uint64_t id) const;
+  [[nodiscard]] std::size_t ranges() const noexcept { return ranges_.size(); }
+
+ private:
+  std::map<std::uint64_t, std::uint64_t> ranges_;  ///< lo -> hi (inclusive)
+};
+
 class TenantScheduler {
  public:
   explicit TenantScheduler(std::size_t queue_cap);
@@ -63,8 +79,8 @@ class TenantScheduler {
   TenantScheduler(const TenantScheduler&) = delete;
   TenantScheduler& operator=(const TenantScheduler&) = delete;
 
-  /// Admission: O(1) under one lock.  On kAccepted the ticket is queued and
-  /// the tenant's weight is updated to request.weight.
+  /// Admission: O(log id ranges) under one lock.  On kAccepted the ticket is
+  /// queued and the tenant's weight is updated to request.weight.
   [[nodiscard]] Admit submit(JobTicket&& job);
 
   /// Blocks until work is available, then moves up to `max_jobs` jobs of the
@@ -96,6 +112,7 @@ class TenantScheduler {
     std::uint64_t submitted = 0;  ///< accepted jobs
     std::uint64_t completed = 0;
     std::uint64_t rejected = 0;  ///< queue-full / draining / duplicate
+    std::uint64_t seen_id_ranges = 0;  ///< JobIdRanges::ranges() of the tenant
   };
   /// Snapshot, sorted by tenant name.
   [[nodiscard]] std::vector<std::pair<std::string, TenantStats>> tenant_stats()
@@ -104,7 +121,7 @@ class TenantScheduler {
  private:
   struct Tenant {
     std::deque<JobTicket> queue;
-    std::unordered_set<std::uint64_t> seen_jobs;
+    JobIdRanges seen_jobs;
     std::uint32_t weight = 1;
     std::uint32_t credit = 0;  ///< dispatch slots left this WRR cycle
     bool in_ring = false;

@@ -1,6 +1,7 @@
 #include "casc/svc/scheduler.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "casc/common/check.hpp"
 
@@ -16,6 +17,36 @@ const char* to_string(Admit admit) noexcept {
   return "?";
 }
 
+void JobIdRanges::insert(std::uint64_t id) {
+  // First range starting above id; its predecessor is the only range that
+  // can contain id or end right below it.
+  auto next = ranges_.upper_bound(id);
+  if (next != ranges_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->second >= id) return;
+    if (prev->second + 1 == id) {
+      prev->second = id;
+      if (next != ranges_.end() && next->first == id + 1) {
+        prev->second = next->second;
+        ranges_.erase(next);
+      }
+      return;
+    }
+  }
+  if (next != ranges_.end() && next->first == id + 1) {
+    const std::uint64_t hi = next->second;
+    ranges_.erase(next);
+    ranges_.emplace(id, hi);
+    return;
+  }
+  ranges_.emplace(id, id);
+}
+
+bool JobIdRanges::contains(std::uint64_t id) const {
+  auto next = ranges_.upper_bound(id);
+  return next != ranges_.begin() && std::prev(next)->second >= id;
+}
+
 TenantScheduler::TenantScheduler(std::size_t queue_cap) : queue_cap_(queue_cap) {
   CASC_CHECK(queue_cap >= 1, "TenantScheduler: queue_cap must be >= 1");
 }
@@ -29,7 +60,7 @@ Admit TenantScheduler::submit(JobTicket&& job) {
     ++tenant.stats.rejected;
     return Admit::kDraining;
   }
-  if (tenant.seen_jobs.count(job.request.job) != 0) {
+  if (tenant.seen_jobs.contains(job.request.job)) {
     ++tenant.stats.rejected;
     return Admit::kDuplicateJob;
   }
@@ -159,7 +190,10 @@ TenantScheduler::tenant_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<std::string, TenantStats>> out;
   out.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) out.emplace_back(name, tenant.stats);
+  for (const auto& [name, tenant] : tenants_) {
+    out.emplace_back(name, tenant.stats);
+    out.back().second.seen_id_ranges = tenant.seen_jobs.ranges();
+  }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;

@@ -158,6 +158,30 @@ TEST(Certifier, StalePairsRaceAtEveryWorkerCountIncludingOne) {
   EXPECT_EQ(std::find(ops.begin(), ops.end(), "y"), ops.end());
 }
 
+// Write-then-read of the same element in ONE iteration: sequentially the
+// read sees the write, but the helper staged the element before the chunk
+// ran.  Ordering reads by iteration alone made this pair look like an anti
+// pair and certified the loop; it is stale at every worker count.
+TEST(Certifier, SameIterationWriteThenReadIsStale) {
+  const Certificate cert = certify(parse(R"(
+loop write_then_read
+trip 4096
+compute 4
+layout staggered
+array t 8 4096 ro
+index g 4096 perm 7
+access t write via g
+access t read via g
+)"));
+  EXPECT_EQ(cert.verdict, "raced");
+  EXPECT_EQ(cert.stale_pairs, 4096u);
+  EXPECT_FALSE(cert.certifies_staging(1));
+  const auto ops = cert.certified_operands(1);
+  EXPECT_EQ(std::find(ops.begin(), ops.end(), "t"), ops.end());
+  ASSERT_FALSE(cert.witnesses.empty());
+  EXPECT_EQ(cert.witnesses.front().write_iter, cert.witnesses.front().read_iter);
+}
+
 TEST(Certifier, FlowDistanceBoundsTheSafeRing) {
   CertifyOptions opt;
   opt.chunk_bytes = kFlow8ChunkBytes;

@@ -279,7 +279,9 @@ TEST(ExecBridgeChaos, AnyChaosScheduleMatchesReferenceBitForBit) {
           EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
               << file << " threads=" << threads << " mode=" << static_cast<int>(mode)
               << " seed=" << seed;
-          if (got.helper_faults > 0) EXPECT_TRUE(got.degraded);
+          if (got.helper_faults > 0) {
+            EXPECT_TRUE(got.degraded);
+          }
         }
       }
     }

@@ -413,6 +413,37 @@ TEST_P(PipelineStageProof, StrictAndCertificateAwareVerdictsAgree) {
   }
 }
 
+// The static-first gate settles a stage without the shadow replay only when
+// the static passes prove it with no warning.  On the PARMVR call-12 chain
+// that is every stage but smooth_rho, whose wrapping index positions draw an
+// index-wrap warning and so still replay.  A static-pass change that sends
+// more of the chain back to the replay fails here, not only in a benchmark.
+TEST(PipelineStageProof, StaticPassesDecideEveryParmvrStageButTheWrappingOne) {
+  const loopir::PipelineSpec spec = wave5::make_parmvr_pipeline(/*scale=*/1);
+  ASSERT_EQ(spec.stages.size(), 15u);
+  analysis::AnalyzeOptions opt;
+  opt.chunk_bytes = 64 * 1024;
+  opt.run_shadow = false;
+  for (std::size_t k = 0; k < spec.stages.size(); ++k) {
+    const analysis::AnalysisReport report =
+        analysis::analyze(spec.stage_spec(k), opt);
+    const std::string& stage = spec.stages[k].name;
+    EXPECT_FALSE(report.shadow_ran) << stage;
+    EXPECT_TRUE(report.restructure_eligible) << stage;
+    if (stage == "smooth_rho") {
+      EXPECT_GT(report.diags.warnings(), 0u) << stage;
+      for (const common::Diagnostic& diag : report.diags.items()) {
+        if (diag.severity == common::Severity::kWarning) {
+          EXPECT_EQ(diag.rule, "index-wrap") << stage;
+        }
+      }
+    } else {
+      EXPECT_EQ(report.diags.warnings(), 0u)
+          << stage << "\n" << report.diags.render_text();
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Committed, PipelineStageProof,
     ::testing::Values("pipeline_reuse", "pipeline_index_clobber",

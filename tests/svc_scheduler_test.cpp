@@ -86,6 +86,22 @@ TEST(SvcScheduler, QueueFullBackpressure) {
   sched.note_done(batch[0].request.tenant, 1);
 }
 
+std::uint64_t seen_id_ranges(const svc::TenantScheduler& sched,
+                             const std::string& tenant) {
+  for (const auto& [name, stats] : sched.tenant_stats()) {
+    if (name == tenant) return stats.seen_id_ranges;
+  }
+  return 0;
+}
+
+void run_dry(svc::TenantScheduler& sched) {
+  std::vector<svc::JobTicket> batch;
+  while (sched.queued() != 0) {
+    ASSERT_TRUE(sched.pop_batch(1024, batch));
+    sched.note_done(batch[0].request.tenant, batch.size());
+  }
+}
+
 TEST(SvcScheduler, DuplicateJobIdsRejectedPerTenant) {
   svc::TenantScheduler sched(64);
   EXPECT_EQ(sched.submit(make_job("A", 7)), svc::Admit::kAccepted);
@@ -99,6 +115,63 @@ TEST(SvcScheduler, DuplicateJobIdsRejectedPerTenant) {
     sched.note_done(batch[0].request.tenant, batch.size());
   }
   EXPECT_EQ(sched.submit(make_job("A", 7)), svc::Admit::kDuplicateJob);
+
+  // Out of order and gapped: 10, 2, 30, 20 are four separate ranges.
+  for (const std::uint64_t id : {10u, 2u, 30u, 20u}) {
+    ASSERT_EQ(sched.submit(make_job("C", id)), svc::Admit::kAccepted) << id;
+  }
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 4u);
+  for (const std::uint64_t id : {10u, 2u, 30u, 20u}) {
+    EXPECT_EQ(sched.submit(make_job("C", id)), svc::Admit::kDuplicateJob) << id;
+  }
+  // Neighbours of a seen id are still free.
+  for (const std::uint64_t id : {1u, 3u, 9u, 11u}) {
+    EXPECT_EQ(sched.submit(make_job("C", id)), svc::Admit::kAccepted) << id;
+  }
+  // 1..3 and 9..11 merged into their seeds: {1-3, 9-11, 20, 30}.
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 4u);
+  // Filling the gap 4..8 joins [1, 3] and [9, 11] into one range.
+  for (std::uint64_t id = 4; id <= 8; ++id) {
+    ASSERT_EQ(sched.submit(make_job("C", id)), svc::Admit::kAccepted) << id;
+  }
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 3u);
+  // 21 extends [20] upward and 29 extends [30] downward; 22..28 then merge
+  // the two, leaving [1, 11] and [20, 30].
+  for (std::uint64_t id = 21; id <= 29; ++id) {
+    ASSERT_EQ(sched.submit(make_job("C", id)), svc::Admit::kAccepted) << id;
+  }
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 2u);
+  for (std::uint64_t id = 1; id <= 30; ++id) {
+    const svc::Admit expect = id >= 12 && id <= 19 ? svc::Admit::kAccepted
+                                                   : svc::Admit::kDuplicateJob;
+    EXPECT_EQ(sched.submit(make_job("C", id)), expect) << id;
+  }
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 1u);
+  // The extremes of the id space neither overflow nor merge spuriously.
+  const std::uint64_t top = ~std::uint64_t{0};
+  EXPECT_EQ(sched.submit(make_job("C", top)), svc::Admit::kAccepted);
+  EXPECT_EQ(sched.submit(make_job("C", 0)), svc::Admit::kAccepted);
+  EXPECT_EQ(sched.submit(make_job("C", top)), svc::Admit::kDuplicateJob);
+  EXPECT_EQ(sched.submit(make_job("C", 0)), svc::Admit::kDuplicateJob);
+  EXPECT_EQ(seen_id_ranges(sched, "C"), 2u);  // [0, 30] and [top, top]
+  run_dry(sched);
+
+  // 100 000 dense ids (popped as they queue) leave one range.
+  svc::TenantScheduler dense(1024);
+  constexpr std::uint64_t kJobs = 100000;
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_EQ(dense.submit(make_job("A", id)), svc::Admit::kAccepted) << id;
+    if (dense.queued() == 1024) run_dry(dense);
+  }
+  run_dry(dense);
+  EXPECT_EQ(seen_id_ranges(dense, "A"), 1u);
+  // A duplicate deep in history is still rejected after every job completed.
+  for (const std::uint64_t id : {1u, 2u, 50000u, 99999u, 100000u}) {
+    EXPECT_EQ(dense.submit(make_job("A", id)), svc::Admit::kDuplicateJob) << id;
+  }
+  EXPECT_EQ(dense.submit(make_job("A", kJobs + 1)), svc::Admit::kAccepted);
+  EXPECT_EQ(seen_id_ranges(dense, "A"), 1u);
+  run_dry(dense);
 }
 
 TEST(SvcScheduler, DrainStopsAdmissionThenRunsDry) {
