@@ -21,22 +21,31 @@ std::string hex(std::uint64_t value) {
 }
 
 /// A coalesced staged interval [lo, hi) with the iteration span of the
-/// staged reads that produced it.
+/// staged reads that produced it, and the stream position of the last one.
 struct StagedInterval {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   std::uint64_t min_iter = 0;
   std::uint64_t max_iter = 0;
+  std::uint64_t max_seq = 0;
 };
 
-/// Per-address staging record.  `reads` (sorted, ring mode only) lists every
-/// iteration that stages these bytes, so the ring replay can find the FIRST
-/// read after a write — the one with the minimal (binding) chunk distance.
+/// One staged read: its position in the reference stream and its iteration.
+struct StagedRead {
+  std::uint64_t seq = 0;
+  std::uint64_t iter = 0;
+};
+
+/// Per-address staging record.  `reads` (ring mode only) lists every staged
+/// read of these bytes in stream order, so the ring replay can find the
+/// FIRST read after a write — the one with the minimal (binding) chunk
+/// distance, which may be a later site of the write's own iteration.
 struct StagedByte {
   std::uint32_t size = 0;
   std::uint64_t min_iter = 0;
   std::uint64_t max_iter = 0;
-  std::vector<std::uint64_t> reads;
+  std::uint64_t max_seq = 0;
+  std::vector<StagedRead> reads;
 };
 
 }  // namespace
@@ -140,7 +149,7 @@ ShadowReport shadow_check(const trace::Trace& trace,
     refs.clear();
     trace.refs_for_iteration(it, refs);
     for (const loopir::Ref& ref : refs) {
-      ++report.refs_checked;
+      const std::uint64_t seq = report.refs_checked++;
       if (chunk_addrs.insert(ref.mem.addr).second) {
         chunk_bytes_seen += ref.mem.size;
       }
@@ -152,14 +161,15 @@ ShadowReport shadow_check(const trace::Trace& trace,
       const bool is_write = ref.mem.type == sim::AccessType::kWrite;
       if (!is_write && claim->claimed_ro) {
         auto [slot, inserted] = staged.try_emplace(
-            ref.mem.addr, StagedByte{ref.mem.size, it, it, {}});
+            ref.mem.addr, StagedByte{ref.mem.size, it, it, seq, {}});
         if (!inserted) {
           slot->second.size = std::max(slot->second.size, ref.mem.size);
           slot->second.min_iter = std::min(slot->second.min_iter, it);
           slot->second.max_iter = std::max(slot->second.max_iter, it);
+          slot->second.max_seq = seq;
         }
-        // `it` is nondecreasing, so the list stays sorted.
-        if (opt.ring_workers > 0) slot->second.reads.push_back(it);
+        // `seq` increases, so the list stays sorted.
+        if (opt.ring_workers > 0) slot->second.reads.push_back({seq, it});
       }
     }
   }
@@ -169,7 +179,8 @@ ShadowReport shadow_check(const trace::Trace& trace,
   std::vector<StagedInterval> intervals;
   intervals.reserve(staged.size());
   for (const auto& [addr, info] : staged) {
-    intervals.push_back({addr, addr + info.size, info.min_iter, info.max_iter});
+    intervals.push_back(
+        {addr, addr + info.size, info.min_iter, info.max_iter, info.max_seq});
   }
   std::sort(intervals.begin(), intervals.end(),
             [](const StagedInterval& a, const StagedInterval& b) {
@@ -181,6 +192,7 @@ ShadowReport shadow_check(const trace::Trace& trace,
       merged.back().hi = std::max(merged.back().hi, iv.hi);
       merged.back().min_iter = std::min(merged.back().min_iter, iv.min_iter);
       merged.back().max_iter = std::max(merged.back().max_iter, iv.max_iter);
+      merged.back().max_seq = std::max(merged.back().max_seq, iv.max_seq);
     } else {
       merged.push_back(iv);
     }
@@ -197,10 +209,12 @@ ShadowReport shadow_check(const trace::Trace& trace,
   std::uint64_t reported_cross = 0;
   std::uint64_t reported_plain = 0;
   bool ring_race = false;  // ring mode: any stale pair or flow pair with d < P
+  std::uint64_t seq = 0;
   for (std::uint64_t it = 0; it < n && !merged.empty(); ++it) {
     refs.clear();
     trace.refs_for_iteration(it, refs);
     for (const loopir::Ref& ref : refs) {
+      const std::uint64_t write_seq = seq++;
       if (ref.mem.type != sim::AccessType::kWrite) continue;
       const std::uint64_t lo = ref.mem.addr;
       const std::uint64_t hi = lo + ref.mem.size;
@@ -227,15 +241,22 @@ ShadowReport shadow_check(const trace::Trace& trace,
         const std::uint64_t last_read_chunk = last_read / report.chunk_iters;
         if (opt.ring_workers > 0) {
           // Ring replay: classify against the FIRST staged read after the
-          // write; its chunk distance is minimal among later reads, so it
-          // alone decides whether THIS ring races on these bytes.
+          // write in stream order; its chunk distance is minimal among later
+          // reads, so it alone decides whether THIS ring races on these
+          // bytes.  A later site of the write's own iteration counts: it
+          // sees the write sequentially but reads a copy staged before the
+          // chunk began.
           std::uint64_t first_later = last_read;
-          bool has_later = last_read > it;
+          bool has_later = (exact != nullptr ? exact->max_seq : iv->max_seq) >
+                           write_seq;
           if (exact != nullptr && !exact->reads.empty()) {
-            auto r = std::upper_bound(exact->reads.begin(),
-                                      exact->reads.end(), it);
+            auto r = std::upper_bound(
+                exact->reads.begin(), exact->reads.end(), write_seq,
+                [](std::uint64_t s, const StagedRead& read) {
+                  return s < read.seq;
+                });
             has_later = r != exact->reads.end();
-            if (has_later) first_later = *r;
+            if (has_later) first_later = r->iter;
           }
           if (!has_later) {
             if (reported_plain < opt.max_reported) {

@@ -1,7 +1,6 @@
 #include "casc/exec/bridge.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "casc/analysis/verifier.hpp"
@@ -18,40 +17,12 @@ namespace {
 
 // ---- interpretation kernels ------------------------------------------------
 //
-// One generic interpreter plus kernels fused per operand-class shape.  The
-// generic form re-branches on every ResolvedRef (is it a write? is it
-// staged?); for the common uniform bodies the classification already lives in
-// MaterializedLoop::body_shape(), so the dispatch happens ONCE per span and
+// The body is the same slot sequence every iteration
+// (MaterializedLoop::body_shape()), so the dispatch happens ONCE per span and
 // the inner loops below touch only what their shape needs — the all-staged
 // kernel never reads the ResolvedRef table at all.  Every kernel implements
 // the same semantics (see materialize.hpp), so digests are bit-identical
 // across kernels, helper modes, and SIMD tiers.
-
-/// Generic reference interpreter.  `staged` non-null: consume the next staged
-/// value for each staged read (the helper gathered them in stream order).
-std::uint64_t interpret_generic(MaterializedLoop& loop, std::uint64_t begin,
-                                std::uint64_t end, std::uint64_t acc,
-                                const std::uint64_t* staged) {
-  for (std::uint64_t it = begin; it < end; ++it) {
-    for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
-         ++ref) {
-      if (ref->is_write) {
-        const std::uint64_t w = MaterializedLoop::mix(acc, it);
-        loop.store(*ref, w);
-        acc = w;
-      } else {
-        std::uint64_t v;
-        if (staged != nullptr && ref->staged) {
-          v = *staged++;
-        } else {
-          v = loop.load(*ref);
-        }
-        acc = MaterializedLoop::mix(acc, v);
-      }
-    }
-  }
-  return acc;
-}
 
 /// Fused: every reference is a staged read.  Pure mix-fold over the dense
 /// staged span — no ResolvedRef traffic, no branches, the exact loop the
@@ -68,50 +39,52 @@ std::uint64_t interpret_reads_only(std::uint64_t begin, std::uint64_t end,
 }
 
 /// Fused: R staged reads then exactly one trailing write per iteration (the
-/// dense_sum / gather_split shape).  Only the write slot's ResolvedRef is
-/// touched.
+/// dense_sum / gather_split shape).  The write is the iteration's only
+/// ResolvedRef.
 std::uint64_t interpret_reads_then_write(MaterializedLoop& loop,
                                          std::uint64_t begin, std::uint64_t end,
                                          std::uint64_t acc,
                                          const std::uint64_t* staged,
                                          std::uint32_t reads) {
-  for (std::uint64_t it = begin; it < end; ++it) {
+  const ResolvedRef* w = loop.refs_begin(begin);
+  for (std::uint64_t it = begin; it < end; ++it, ++w) {
     for (std::uint32_t r = 0; r < reads; ++r) {
       acc = MaterializedLoop::mix(acc, *staged++);
     }
-    const ResolvedRef& w = *(loop.refs_end(it) - 1);
     const std::uint64_t wv = MaterializedLoop::mix(acc, it);
-    loop.store(w, wv);
+    loop.store(*w, wv);
     acc = wv;
   }
   return acc;
 }
 
-/// Fused: arbitrary uniform slot sequence, driven from the precomputed shape
-/// table instead of per-ref flag bytes (the spmv shape: staged reads mixed
-/// with plain reads and writes).
-std::uint64_t interpret_uniform(MaterializedLoop& loop, std::uint64_t begin,
-                                std::uint64_t end, std::uint64_t acc,
-                                const std::uint64_t* staged,
-                                const std::vector<SlotKind>& slots) {
+/// Slot-driven: any slot sequence, with two cursors.  Staged slots take the
+/// next gathered value (kGathered) or load through the SoA staged stream;
+/// plain reads and writes go through the ResolvedRef table.
+template <bool kGathered>
+std::uint64_t interpret_slots(MaterializedLoop& loop, std::uint64_t begin,
+                              std::uint64_t end, std::uint64_t acc,
+                              const std::uint64_t* staged) {
+  const std::vector<SlotKind>& slots = loop.body_shape().slots;
+  const ResolvedRef* ref = loop.refs_begin(begin);
+  std::uint64_t p = loop.staged_refs_before(begin);
   for (std::uint64_t it = begin; it < end; ++it) {
-    const ResolvedRef* ref = loop.refs_begin(it);
     for (const SlotKind kind : slots) {
       switch (kind) {
         case SlotKind::kStagedRead:
-          acc = MaterializedLoop::mix(acc, *staged++);
+          acc = MaterializedLoop::mix(
+              acc, kGathered ? *staged++ : loop.load_staged(p++));
           break;
         case SlotKind::kPlainRead:
-          acc = MaterializedLoop::mix(acc, loop.load(*ref));
+          acc = MaterializedLoop::mix(acc, loop.load(*ref++));
           break;
         case SlotKind::kWrite: {
           const std::uint64_t w = MaterializedLoop::mix(acc, it);
-          loop.store(*ref, w);
+          loop.store(*ref++, w);
           acc = w;
           break;
         }
       }
-      ++ref;
     }
   }
   return acc;
@@ -124,23 +97,18 @@ std::uint64_t interpret_uniform(MaterializedLoop& loop, std::uint64_t begin,
 std::uint64_t interpret_span(MaterializedLoop& loop, std::uint64_t begin,
                              std::uint64_t end, std::uint64_t acc,
                              const std::uint64_t* staged) {
-  if (staged != nullptr) {
-    const BodyShape& shape = loop.body_shape();
-    if (shape.uniform && shape.plain_reads == 0) {
-      if (shape.writes == 0) {
-        return interpret_reads_only(begin, end, acc, staged,
-                                    shape.staged_reads);
-      }
-      if (shape.writes == 1 && shape.slots.back() == SlotKind::kWrite) {
-        return interpret_reads_then_write(loop, begin, end, acc, staged,
-                                          shape.staged_reads);
-      }
+  const BodyShape& shape = loop.body_shape();
+  if (staged != nullptr && shape.plain_reads == 0) {
+    if (shape.writes == 0) {
+      return interpret_reads_only(begin, end, acc, staged, shape.staged_reads);
     }
-    if (shape.uniform) {
-      return interpret_uniform(loop, begin, end, acc, staged, shape.slots);
+    if (shape.writes == 1 && shape.slots.back() == SlotKind::kWrite) {
+      return interpret_reads_then_write(loop, begin, end, acc, staged,
+                                        shape.staged_reads);
     }
   }
-  return interpret_generic(loop, begin, end, acc, staged);
+  return staged != nullptr ? interpret_slots<true>(loop, begin, end, acc, staged)
+                           : interpret_slots<false>(loop, begin, end, acc, nullptr);
 }
 
 }  // namespace
@@ -281,6 +249,10 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                              const rt::TokenWatch& watch) -> bool {
     for (std::uint64_t it = begin; it < end; ++it) {
       if ((it & 0x3f) == 0 && watch.signalled()) return false;
+      for (std::uint64_t p = loop.staged_refs_before(it);
+           p < loop.staged_refs_before(it + 1); ++p) {
+        rt::force_load(loop.staged_addr(p));
+      }
       for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
            ++ref) {
         rt::force_load(loop.addr(*ref));
@@ -292,9 +264,9 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
   auto gather_helper = [&](std::uint64_t begin, std::uint64_t end,
                            const rt::TokenWatch& watch) -> bool {
     const std::uint64_t c = begin / ipc;
-    // Walk the SoA staged stream for this chunk instead of the interleaved
-    // ResolvedRef records: runs of same-array full-word references become one
-    // SIMD gather call each, with the byte offsets as the index vector.
+    // Walk the SoA staged stream for this chunk: runs of same-array
+    // full-word references become one SIMD gather call each, with the byte
+    // offsets as the index vector.
     const std::uint64_t p1 = loop.staged_refs_before(end);
     std::uint64_t p = loop.staged_refs_before(begin);
     const std::uint64_t* offs = loop.staged_offsets();
@@ -315,12 +287,7 @@ ExecResult run_stage(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                                            staged_base + p);
           p = q;
         } else {
-          // Narrow element: zero-extended little-endian load, exactly
-          // MaterializedLoop::load()'s semantics.
-          std::uint64_t v = 0;
-          std::memcpy(&v, loop.array_data(a) + offs[p],
-                      std::min<std::size_t>(sizes[p], 8));
-          staged_base[p] = v;
+          staged_base[p] = loop.load_staged(p);  // narrow: zero-extended
           ++p;
         }
       }

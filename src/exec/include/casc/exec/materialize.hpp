@@ -42,39 +42,39 @@
 
 namespace casc::exec {
 
-/// One dynamic reference, resolved to real storage.  16 bytes; the resolved
-/// stream is the executable form of the loop.
+/// One non-staged dynamic reference (a write or a plain read), resolved to
+/// real storage.  16 bytes.  Staged reads live only in the SoA staged stream
+/// (13 bytes each); nothing is stored per iteration.
 struct ResolvedRef {
   std::uint64_t offset = 0;   ///< byte offset within the array's storage
   std::uint32_t array = 0;    ///< loopir::ArrayId
   std::uint8_t size = 0;      ///< element bytes
   bool is_write = false;
-  /// Read of a proven-read-only operand (including index loads): the
-  /// restructuring helper may stage its value ahead of execution.
-  bool staged = false;
-  /// `staged` as the sanitized claims alone set it; a proof's staged set is
-  /// this plus the operands its certificate re-enabled.
-  bool claim_staged = false;
 };
 
-/// Operand class of one reference slot of a uniform loop body, in body order.
+/// Operand class of one reference slot of the loop body, in body order.
 enum class SlotKind : std::uint8_t {
   kStagedRead = 0,  ///< proven-read-only load; the helper may stage it
   kPlainRead = 1,   ///< load that must hit the arrays at execution time
   kWrite = 2,       ///< store (always executed in place)
 };
 
-/// Operand-class shape of the loop body, computed once from the resolved
-/// stream.  When `uniform` every iteration issues the same slot sequence, so
-/// the interpreter can dispatch ONCE per span to a kernel fused for that
-/// sequence instead of re-branching on every ResolvedRef (bridge.cpp).  The
-/// classification is re-derived whenever a proof changes the staging flags.
+/// Operand-class shape of the loop body.  The nest issues the same slots
+/// every iteration and staging is decided per slot, so the shape describes
+/// every iteration: the interpreter dispatches ONCE per span to a kernel
+/// fused for the sequence (bridge.cpp), and the per-iteration positions in
+/// both reference tables are products of the slot counts.  Re-derived
+/// whenever a proof changes the staged set.
 struct BodyShape {
-  bool uniform = false;             ///< every iteration has the same slots
-  std::vector<SlotKind> slots;      ///< the per-iteration sequence (if uniform)
-  std::uint32_t staged_reads = 0;   ///< slot counts by kind (if uniform)
+  std::vector<SlotKind> slots;      ///< the per-iteration sequence
+  std::uint32_t staged_reads = 0;   ///< slot counts by kind
   std::uint32_t plain_reads = 0;
   std::uint32_t writes = 0;
+
+  /// Slots resolved through the ResolvedRef table (plain reads and writes).
+  [[nodiscard]] std::uint32_t unstaged() const noexcept {
+    return plain_reads + writes;
+  }
 };
 
 /// The restructure proof of a loop for one ring geometry: the verdict
@@ -97,7 +97,9 @@ struct Proof {
 using StorageBinder =
     std::function<std::byte*(const std::string& name, std::uint64_t bytes)>;
 
-/// A spec with real backing arrays and a pre-resolved reference stream.
+/// A spec with real backing arrays and a pre-resolved reference stream,
+/// stored once: each staged read as one entry of the SoA staged stream,
+/// every other reference as one ResolvedRef, both iteration-major.
 class MaterializedLoop {
  public:
   /// Instantiates via analysis::sanitized_instantiate (false read-only claims
@@ -121,7 +123,7 @@ class MaterializedLoop {
   }
 
   [[nodiscard]] std::uint64_t num_iterations() const noexcept {
-    return iter_offsets_.size() - 1;
+    return nest_.num_iterations();
   }
 
   /// Restores every LOOP-OWNED array to its deterministic initial contents.
@@ -144,21 +146,24 @@ class MaterializedLoop {
   [[nodiscard]] std::uint64_t rw_checksum() const;
 
   // ---- resolved stream ----------------------------------------------------
+  //
+  // The non-staged references (plain reads and writes) of iteration `it`,
+  // in body order.
 
   [[nodiscard]] const ResolvedRef* refs_begin(std::uint64_t it) const noexcept {
-    return refs_.data() + iter_offsets_[it];
+    return refs_.data() + it * shape_.unstaged();
   }
   [[nodiscard]] const ResolvedRef* refs_end(std::uint64_t it) const noexcept {
-    return refs_.data() + iter_offsets_[it + 1];
+    return refs_begin(it + 1);
   }
 
-  /// Number of stageable references among iterations [0, it) — prefix sums
-  /// that size per-chunk staging exactly.
+  /// Number of staged references among iterations [0, it) — what sizes and
+  /// places per-chunk staging.
   [[nodiscard]] std::uint64_t staged_refs_before(std::uint64_t it) const noexcept {
-    return staged_prefix_[it];
+    return it * shape_.staged_reads;
   }
   [[nodiscard]] std::uint64_t max_staged_per_iter() const noexcept {
-    return max_staged_per_iter_;
+    return shape_.staged_reads;
   }
 
   /// Operand-class shape of the body (see BodyShape).
@@ -167,11 +172,11 @@ class MaterializedLoop {
   // ---- staged operand stream (SoA) ----------------------------------------
   //
   // The staged references of the whole loop, in stream order, as parallel
-  // arrays.  The restructuring helper walks these instead of the interleaved
-  // ResolvedRef records: runs of same-array 8-byte entries feed the SIMD
-  // gather kernels (common/simd.hpp) directly, offsets as the gather index
-  // vector.  Entry p covers the p'th staged reference; iteration `it` owns
-  // entries [staged_refs_before(it), staged_refs_before(it + 1)).
+  // arrays.  The restructuring helper walks these: runs of same-array 8-byte
+  // entries feed the SIMD gather kernels (common/simd.hpp) directly, offsets
+  // as the gather index vector.  Entry p covers the p'th staged reference;
+  // iteration `it` owns entries [staged_refs_before(it),
+  // staged_refs_before(it + 1)).
 
   [[nodiscard]] const std::uint64_t* staged_offsets() const noexcept {
     return staged_offsets_.data();
@@ -186,10 +191,18 @@ class MaterializedLoop {
     return staged_offsets_.size();
   }
 
+  /// Bytes the two reference tables hold (allocated capacity): 16 per
+  /// non-staged reference plus 13 per staged one, and nothing per iteration.
+  [[nodiscard]] std::uint64_t table_bytes() const noexcept;
+
   // ---- interpreter building blocks ---------------------------------------
 
   [[nodiscard]] const std::byte* addr(const ResolvedRef& ref) const noexcept {
     return data_[ref.array] + ref.offset;
+  }
+  /// Address of staged reference `p` (an entry of the staged stream).
+  [[nodiscard]] const std::byte* staged_addr(std::uint64_t p) const noexcept {
+    return data_[staged_arrays_[p]] + staged_offsets_[p];
   }
 
   /// Base pointer of one array's backing storage (cache-line or huge-page
@@ -201,6 +214,8 @@ class MaterializedLoop {
 
   /// Little-endian load of min(size, 8) bytes, zero-extended.
   [[nodiscard]] std::uint64_t load(const ResolvedRef& ref) const noexcept;
+  /// The same load for staged reference `p`, straight from the arrays.
+  [[nodiscard]] std::uint64_t load_staged(std::uint64_t p) const noexcept;
   /// Little-endian store of the low min(size, 8) bytes.
   void store(const ResolvedRef& ref, std::uint64_t value) noexcept;
 
@@ -217,19 +232,20 @@ class MaterializedLoop {
   /// cache-line aligned, huge-page aligned + advised at >= 2 MB.
   using ArrayBytes = std::vector<std::byte, common::AlignedAllocator<std::byte>>;
 
-  void resolve_stream();
-  /// Sets the staged set to exactly the sanitized claims' staged references
-  /// plus every read of the `certified` arrays — operands whose read-only
-  /// claim the sanitizer demoted but whose staged bytes the race certifier
-  /// proved write-free (or token-ordered on the proof's ring); the
-  /// certificate, not the claim, is the safety argument.  Rebuilds the
-  /// derived stream only when a flag changed.  Names not present in the
-  /// nest are ignored.
+  /// The slot kinds that stage exactly the sanitized claims' staged slots
+  /// plus every read slot of the `certified` arrays — operands whose
+  /// read-only claim the sanitizer demoted but whose staged bytes the race
+  /// certifier proved write-free (or token-ordered on the proof's ring); the
+  /// certificate, not the claim, is the safety argument.  Names not present
+  /// in the nest are ignored.
+  [[nodiscard]] std::vector<SlotKind> slots_for(
+      const std::vector<std::string>& certified) const;
+  /// Applies slots_for(certified), regenerating the reference tables only
+  /// when a slot changed.
   void restage(const std::vector<std::string>& certified);
-  /// Rebuilds everything derived from the staged flags: the per-iteration
-  /// prefix sums, the SoA staged stream, and the body shape.  Called after
-  /// resolve_stream() and whenever restage() changes a flag.
-  void rebuild_staged_stream();
+  /// Sets the body shape to `slots` and regenerates both reference tables
+  /// from the nest's walk.
+  void build_tables(std::vector<SlotKind> slots);
 
   loopir::LoopSpec spec_;
   std::vector<std::string> demoted_;
@@ -237,18 +253,22 @@ class MaterializedLoop {
   std::vector<ArrayBytes> storage_;   // loop-owned backing (empty when bound)
   std::vector<std::byte*> data_;      // per-array base, owned or bound
   std::vector<bool> bound_;           // array uses external storage
-  std::vector<ResolvedRef> refs_;                // flat, iteration-major
-  std::vector<std::uint64_t> iter_offsets_;      // num_iterations + 1
-  std::vector<std::uint64_t> staged_prefix_;     // num_iterations + 1
-  std::uint64_t max_staged_per_iter_ = 0;
+  std::vector<bool> claim_staged_;    // per slot: the sanitized claims stage it
+  BodyShape shape_;
+  std::vector<ResolvedRef> refs_;                // non-staged, iteration-major
   std::vector<std::uint64_t> staged_offsets_;    // SoA staged stream
   std::vector<std::uint32_t> staged_arrays_;
   std::vector<std::uint8_t> staged_sizes_;
-  BodyShape shape_;
   std::optional<Proof> proof_;        // cached proof and its key
   std::uint64_t proof_chunk_bytes_ = 0;
   std::uint64_t proof_workers_ = 0;
 };
+
+/// Folds `n` bytes at `p` into the FNV-1a hash `hash`, byte by byte (start
+/// from kFnvBasis).  The rw_checksum of loops and pipelines.
+[[nodiscard]] std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
+                                  std::uint64_t n) noexcept;
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 /// The restructure proof of `loop` for a ring of `workers` at `chunk_bytes`,
 /// computed afresh: the computation behind MaterializedLoop::proof(), which

@@ -13,10 +13,17 @@ namespace casc::exec {
 
 namespace {
 
-/// Materialization cap: the resolved stream costs 16 bytes per reference, so
-/// this bounds the bridge at ~256 MB of stream — far above every spec in the
-/// tree, far below anything that could take the host down.
+/// Materialization cap: a reference costs at most 16 bytes of table (13 when
+/// staged), so this bounds the bridge at ~256 MB of tables — far above every
+/// spec in the tree, far below anything that could take the host down.
 constexpr std::uint64_t kMaxResolvedRefs = 1ull << 24;
+
+/// Empties `v`, releasing its storage, and reserves exactly `n` elements.
+template <typename T>
+void reset_exact(std::vector<T>& v, std::uint64_t n) {
+  v = std::vector<T>();
+  v.reserve(n);
+}
 
 }  // namespace
 
@@ -26,6 +33,11 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec)
 MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
                                    const StorageBinder& bind)
     : spec_(spec), nest_(analysis::sanitized_instantiate(spec, &demoted_)) {
+  // The body has at least one slot (finalize() rejects an empty body).
+  const std::uint64_t per_iter = nest_.body_slots().size();
+  CASC_CHECK(per_iter <= kMaxResolvedRefs &&
+                 nest_.num_iterations() <= kMaxResolvedRefs / per_iter,
+             "loop too large to materialize for the real runtime");
   const std::size_t n = nest_.num_arrays();
   storage_.resize(n);
   data_.resize(n, nullptr);
@@ -43,7 +55,11 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
     }
   }
   reset();
-  resolve_stream();
+  for (const loopir::BodySlot& slot : nest_.body_slots()) {
+    claim_staged_.push_back(!slot.is_write &&
+                            (slot.read_only_operand || slot.is_index_load));
+  }
+  build_tables(slots_for({}));
 }
 
 void MaterializedLoop::reset() {
@@ -90,125 +106,77 @@ const Proof& MaterializedLoop::proof(std::uint64_t chunk_bytes,
   return *proof_;
 }
 
+std::vector<SlotKind> MaterializedLoop::slots_for(
+    const std::vector<std::string>& certified) const {
+  std::vector<SlotKind> slots;
+  const std::vector<loopir::BodySlot>& body = nest_.body_slots();
+  for (std::size_t k = 0; k < body.size(); ++k) {
+    const bool wanted =
+        std::find(certified.begin(), certified.end(),
+                  nest_.array(body[k].array).name) != certified.end();
+    slots.push_back(body[k].is_write                ? SlotKind::kWrite
+                    : claim_staged_[k] || wanted ? SlotKind::kStagedRead
+                                                 : SlotKind::kPlainRead);
+  }
+  return slots;
+}
+
 void MaterializedLoop::restage(const std::vector<std::string>& certified) {
-  std::vector<bool> wanted(nest_.num_arrays(), false);
-  for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
-    for (const std::string& name : certified) {
-      if (nest_.array(id).name == name) wanted[id] = true;
-    }
-  }
-  bool changed = false;
-  for (ResolvedRef& ref : refs_) {
-    const bool staged =
-        ref.claim_staged || (!ref.is_write && wanted[ref.array]);
-    changed = changed || staged != ref.staged;
-    ref.staged = staged;
-  }
-  if (changed) rebuild_staged_stream();
+  std::vector<SlotKind> slots = slots_for(certified);
+  if (slots != shape_.slots) build_tables(std::move(slots));
 }
 
-void MaterializedLoop::resolve_stream() {
-  // Base-address table for mapping the nest's simulated addresses back to
-  // (array, offset); bases never overlap (finalize assigns disjoint regions).
-  struct Region {
-    std::uint64_t base;
-    std::uint64_t size;
-    loopir::ArrayId id;
-  };
-  std::vector<Region> regions;
-  regions.reserve(nest_.num_arrays());
-  for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
-    regions.push_back({nest_.array_base(id), nest_.array(id).size_bytes(), id});
-  }
-  std::sort(regions.begin(), regions.end(),
-            [](const Region& a, const Region& b) { return a.base < b.base; });
-  auto resolve = [&](std::uint64_t addr) -> const Region& {
-    auto it = std::upper_bound(regions.begin(), regions.end(), addr,
-                               [](std::uint64_t a, const Region& r) {
-                                 return a < r.base;
-                               });
-    CASC_CHECK(it != regions.begin(), "reference before every array base");
-    const Region& region = *(it - 1);
-    CASC_CHECK(addr + 1 <= region.base + region.size,
-               "reference outside every array extent");
-    return region;
-  };
-
+void MaterializedLoop::build_tables(std::vector<SlotKind> slots) {
   const std::uint64_t iters = nest_.num_iterations();
-  iter_offsets_.reserve(iters + 1);
-  iter_offsets_.push_back(0);
-  std::vector<loopir::Ref> scratch;
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    scratch.clear();
-    nest_.refs_for_iteration(it, scratch);
-    CASC_CHECK(refs_.size() + scratch.size() <= kMaxResolvedRefs,
-               "loop too large to materialize for the real runtime");
-    for (const loopir::Ref& ref : scratch) {
-      const Region& region = resolve(ref.mem.addr);
-      ResolvedRef resolved;
-      resolved.offset = ref.mem.addr - region.base;
-      resolved.array = region.id;
-      resolved.size = static_cast<std::uint8_t>(ref.mem.size);
-      resolved.is_write = ref.mem.type == sim::AccessType::kWrite;
-      resolved.claim_staged = !resolved.is_write &&
-                              (ref.read_only_operand || ref.is_index_load);
-      resolved.staged = resolved.claim_staged;
-      CASC_CHECK(resolved.offset + resolved.size <= region.size,
-                 "reference straddles an array extent");
-      refs_.push_back(resolved);
-    }
-    iter_offsets_.push_back(refs_.size());
-  }
-  rebuild_staged_stream();
-}
-
-void MaterializedLoop::rebuild_staged_stream() {
-  const std::uint64_t iters = num_iterations();
-  staged_prefix_.assign(iters + 1, 0);
-  staged_offsets_.clear();
-  staged_arrays_.clear();
-  staged_sizes_.clear();
-  max_staged_per_iter_ = 0;
   shape_ = BodyShape{};
-  shape_.uniform = iters > 0;
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    std::uint64_t staged_here = 0;
-    const std::uint64_t body_len = iter_offsets_[it + 1] - iter_offsets_[it];
-    if (shape_.uniform && it > 0 && body_len != shape_.slots.size()) {
-      shape_.uniform = false;
-    }
-    for (std::uint64_t r = iter_offsets_[it]; r < iter_offsets_[it + 1]; ++r) {
-      const ResolvedRef& ref = refs_[r];
-      if (ref.staged) {
-        staged_offsets_.push_back(ref.offset);
-        staged_arrays_.push_back(ref.array);
-        staged_sizes_.push_back(ref.size);
-        ++staged_here;
-      }
-      const SlotKind kind = ref.is_write  ? SlotKind::kWrite
-                            : ref.staged  ? SlotKind::kStagedRead
-                                          : SlotKind::kPlainRead;
-      if (it == 0) {
-        shape_.slots.push_back(kind);
-      } else if (shape_.uniform &&
-                 shape_.slots[r - iter_offsets_[it]] != kind) {
-        shape_.uniform = false;
-      }
-    }
-    max_staged_per_iter_ = std::max(max_staged_per_iter_, staged_here);
-    staged_prefix_[it + 1] = staged_prefix_[it] + staged_here;
-  }
-  if (!shape_.uniform) {
-    shape_.slots.clear();
-    return;
-  }
-  for (const SlotKind kind : shape_.slots) {
+  for (const SlotKind kind : slots) {
     switch (kind) {
       case SlotKind::kStagedRead: ++shape_.staged_reads; break;
       case SlotKind::kPlainRead: ++shape_.plain_reads; break;
       case SlotKind::kWrite: ++shape_.writes; break;
     }
   }
+  shape_.slots = std::move(slots);
+
+  // Per-slot resolution, hoisted out of the walk: array, element bytes,
+  // and which table the slot's references go to.
+  struct SlotInfo {
+    std::uint32_t array;
+    std::uint32_t elem_size;
+    bool staged;
+    bool is_write;
+  };
+  std::vector<SlotInfo> info;
+  info.reserve(shape_.slots.size());
+  for (std::size_t k = 0; k < shape_.slots.size(); ++k) {
+    const loopir::ArrayId array = nest_.body_slots()[k].array;
+    info.push_back({array, nest_.array(array).elem_size,
+                    shape_.slots[k] == SlotKind::kStagedRead,
+                    shape_.slots[k] == SlotKind::kWrite});
+  }
+  reset_exact(refs_, iters * shape_.unstaged());
+  reset_exact(staged_offsets_, iters * shape_.staged_reads);
+  reset_exact(staged_arrays_, iters * shape_.staged_reads);
+  reset_exact(staged_sizes_, iters * shape_.staged_reads);
+  nest_.walk(0, iters, [&](std::uint32_t slot, std::uint64_t elem) {
+    const SlotInfo& s = info[slot];
+    const std::uint64_t offset = elem * s.elem_size;
+    const auto size = static_cast<std::uint8_t>(s.elem_size);
+    if (s.staged) {
+      staged_offsets_.push_back(offset);
+      staged_arrays_.push_back(s.array);
+      staged_sizes_.push_back(size);
+    } else {
+      refs_.push_back({offset, s.array, size, s.is_write});
+    }
+  });
+}
+
+std::uint64_t MaterializedLoop::table_bytes() const noexcept {
+  return refs_.capacity() * sizeof(ResolvedRef) +
+         staged_offsets_.capacity() * sizeof(std::uint64_t) +
+         staged_arrays_.capacity() * sizeof(std::uint32_t) +
+         staged_sizes_.capacity() * sizeof(std::uint8_t);
 }
 
 std::uint64_t MaterializedLoop::load(const ResolvedRef& ref) const noexcept {
@@ -217,20 +185,31 @@ std::uint64_t MaterializedLoop::load(const ResolvedRef& ref) const noexcept {
   return value;
 }
 
+std::uint64_t MaterializedLoop::load_staged(std::uint64_t p) const noexcept {
+  std::uint64_t value = 0;
+  std::memcpy(&value, staged_addr(p),
+              std::min<std::size_t>(staged_sizes_[p], 8));
+  return value;
+}
+
 void MaterializedLoop::store(const ResolvedRef& ref, std::uint64_t value) noexcept {
   std::memcpy(data_[ref.array] + ref.offset, &value,
               std::min<std::size_t>(ref.size, 8));
 }
 
+std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
+                    std::uint64_t n) noexcept {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    hash = MaterializedLoop::mix(hash, static_cast<std::uint64_t>(p[i]));
+  }
+  return hash;
+}
+
 std::uint64_t MaterializedLoop::rw_checksum() const {
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t hash = kFnvBasis;
   for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
     if (nest_.array(id).read_only) continue;
-    const std::byte* p = data_[id];
-    const std::uint64_t n = nest_.array(id).size_bytes();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      hash = (hash ^ static_cast<std::uint64_t>(p[i])) * 0x100000001b3ull;
-    }
+    hash = fnv1a(hash, data_[id], nest_.array(id).size_bytes());
   }
   return hash;
 }

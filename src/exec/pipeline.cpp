@@ -98,7 +98,7 @@ void MaterializedPipeline::fill_shared_arrays() {
 void MaterializedPipeline::reset() { fill_shared_arrays(); }
 
 std::uint64_t MaterializedPipeline::rw_checksum() const {
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t hash = kFnvBasis;
   for (std::size_t i = 0; i < spec_.arrays.size(); ++i) {
     const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
     bool written = false;
@@ -106,12 +106,8 @@ std::uint64_t MaterializedPipeline::rw_checksum() const {
       if (stage.writes(decl.name)) written = true;
     }
     if (!written) continue;
-    const std::byte* p = shared_[i].data();
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;
-    for (std::uint64_t b = 0; b < bytes; ++b) {
-      hash = (hash ^ static_cast<std::uint64_t>(p[b])) * 0x100000001b3ull;
-    }
+    hash = fnv1a(hash, shared_[i].data(),
+                 static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems);
   }
   return hash;
 }

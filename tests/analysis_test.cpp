@@ -268,6 +268,38 @@ TEST(Shadow, CleanLoopPassesWithFootprintContainment) {
   EXPECT_LE(report.peak_chunk_bytes, fp.per_chunk_bound);
 }
 
+// Ring replay orders staged reads by stream position, as the certifier does:
+// a write followed by a staged read of the same bytes later in the SAME
+// iteration is a same-chunk race (the copy was staged before the chunk
+// ran), not a read that "precedes" the write.
+TEST(Shadow, RingModeSameIterationWriteThenReadIsRace) {
+  DiagnosticList parse_diags;
+  const LoopSpec spec = LoopSpec::parse(R"(
+loop write_then_read
+trip 4096
+compute 4
+layout staggered
+array t 8 4096 ro
+index g 4096 perm 7
+access t write via g
+access t read via g
+)",
+                                        parse_diags);
+  ASSERT_TRUE(parse_diags.ok());
+  const auto nest = casc::analysis::sanitized_instantiate(spec);
+  const auto trace = casc::trace::Trace::capture(nest);
+  const auto claims = casc::analysis::claims_for(spec, nest);
+  for (const std::uint64_t workers : {1, 2, 4}) {
+    casc::analysis::ShadowOptions opt;
+    opt.ring_workers = workers;
+    const auto report = casc::analysis::shadow_check(trace, claims, opt);
+    EXPECT_FALSE(report.restructure_safe) << workers << " workers";
+    EXPECT_TRUE(has_rule(report.diags, "shadow-write-ro", Severity::kError))
+        << workers << " workers\n" << report.diags.render_text();
+    EXPECT_EQ(report.violating_writes, 4096u) << workers << " workers";
+  }
+}
+
 TEST(Analyze, UnsafeSpecFailsWithStaticAndShadowEvidence) {
   const AnalysisReport report = analyze_text(kUnsafeSpec);
   EXPECT_FALSE(report.ok());

@@ -241,7 +241,7 @@ std::string gather_split_text() {
   return buffer.str();
 }
 
-/// Same staged stream (SoA entries and per-iteration prefix sums) and same
+/// Same staged stream (SoA entries and per-iteration positions) and same
 /// body shape.
 void expect_same_staging(const exec::MaterializedLoop& got,
                          const exec::MaterializedLoop& want,
@@ -264,7 +264,6 @@ void expect_same_staging(const exec::MaterializedLoop& got,
   EXPECT_EQ(got.max_staged_per_iter(), want.max_staged_per_iter()) << where;
   const exec::BodyShape& a = got.body_shape();
   const exec::BodyShape& b = want.body_shape();
-  EXPECT_EQ(a.uniform, b.uniform) << where;
   EXPECT_EQ(a.slots, b.slots) << where;
   EXPECT_EQ(a.staged_reads, b.staged_reads) << where;
   EXPECT_EQ(a.plain_reads, b.plain_reads) << where;
