@@ -2,7 +2,10 @@
 // reference-stream generation, and the bytes-per-iteration estimator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "casc/common/check.hpp"
 #include "casc/loopir/loop_nest.hpp"
@@ -336,6 +339,57 @@ TEST(LoopNestRefs, AllRefsMatchesPerIterationAssembly) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].mem.addr, manual[i].mem.addr);
     EXPECT_EQ(all[i].mem.type, manual[i].mem.type);
+  }
+}
+
+TEST(LoopNestRefs, ExtentsBeyond32BitsWrapExactly) {
+  // A 2^40-element array, a 2^39-scale step and ~2^23 iterations put the
+  // position products past 64 bits; a small array keeps them within.  Both
+  // must equal (offset + stride·i) mod n, computed in 128 bits, on the
+  // per-iteration path and on the walk.
+  LoopNest nest("wide");
+  const std::uint64_t big = (1ull << 40) + 7;
+  const ArrayId a = nest.add_array({"A", 1, big, true});
+  const ArrayId b = nest.add_array({"B", 8, 1000, false});
+  const std::int64_t big_stride = std::numeric_limits<std::int64_t>::max() - 12;
+  const std::int64_t big_offset = std::numeric_limits<std::int64_t>::min() + 5;
+  const std::uint64_t step = (1ull << 39) + 3;
+  nest.add_access({a, false, big_stride, big_offset, {}});
+  nest.add_access({b, true, -7, 3, {}});
+  nest.set_trip(1ull << 62, step);
+  nest.finalize(LayoutPolicy::kStaggered);
+  const std::uint64_t iters = nest.num_iterations();
+  ASSERT_GT(iters, 1ull << 22);
+
+  auto elem = [](std::int64_t offset, std::int64_t stride, std::uint64_t i,
+                 std::uint64_t n) {
+    const __int128 pos = static_cast<__int128>(offset) +
+                         static_cast<__int128>(stride) * static_cast<__int128>(i);
+    const __int128 r = pos % static_cast<__int128>(n);
+    return static_cast<std::uint64_t>(r < 0 ? r + static_cast<__int128>(n) : r);
+  };
+  auto expect_iteration = [&](std::uint64_t it, const Ref& ra, const Ref& rb) {
+    EXPECT_EQ(ra.mem.addr,
+              nest.array_base(a) + elem(big_offset, big_stride, it * step, big))
+        << "iteration " << it;
+    EXPECT_EQ(rb.mem.addr, nest.array_base(b) + 8 * elem(3, -7, it * step, 1000))
+        << "iteration " << it;
+  };
+  const std::vector<std::uint64_t> probes{0, 1, 2, 12345, iters / 2, iters - 1};
+  for (const std::uint64_t it : probes) {
+    std::vector<Ref> refs;
+    nest.refs_for_iteration(it, refs);
+    ASSERT_EQ(refs.size(), 2u);
+    expect_iteration(it, refs[0], refs[1]);
+  }
+  const std::uint64_t begin = iters - 40;
+  std::vector<std::uint64_t> walked;
+  nest.walk(begin, iters, [&](std::uint32_t, std::uint64_t e) { walked.push_back(e); });
+  ASSERT_EQ(walked.size(), 80u);
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    const std::uint64_t i = (begin + k) * step;
+    EXPECT_EQ(walked[2 * k], elem(big_offset, big_stride, i, big)) << "walk " << k;
+    EXPECT_EQ(walked[2 * k + 1], elem(3, -7, i, 1000)) << "walk " << k;
   }
 }
 
